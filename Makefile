@@ -1,6 +1,6 @@
 # Convenience targets for the DynaMast reproduction.
 
-.PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke clean
+.PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke bench-smoke clean
 
 # Worker processes for parallel-capable targets (perf, test with
 # pytest-xdist installed). 1 = classic serial behavior.
@@ -165,6 +165,14 @@ scale:
 # machine-independent) and each rung must fit its peak-RSS budget.
 scale-smoke:
 	python -m repro perf --scale --smoke --check --jobs 2
+
+# The repository benchmark (perfbench/, declared in BENCHMARK.json):
+# its own unit tests, then every workload for one second. The run's
+# exit status is the benchmark's correctness gate (no failed
+# transactions, metrics present).
+bench-smoke:
+	python3 -m pytest perfbench -q
+	python3 perfbench/run.py --workload all --seconds 1
 
 clean:
 	rm -rf .pytest_cache build *.egg-info src/*.egg-info

@@ -4,21 +4,24 @@ Write routing: look up the master of every write-set partition under
 shared partition locks; if one site masters them all, route there.
 Otherwise upgrade to exclusive locks, pick a destination with the
 :class:`~repro.core.strategy.RemasterStrategy`, and run Algorithm 1 —
-parallel ``release``/``grant`` chains per source site — before routing.
-The transaction's minimum begin version is the element-wise max of the
+``release``/``grant`` chains per source site — before routing. The
+transaction's minimum begin version is the element-wise max of the
 grant vectors.
 
 Read routing (§IV-B): a uniformly random site satisfying the client's
 session freshness.
 
-Under fault injection the selector switches to a survivable variant of
-the same protocol: masters are health-checked before routing, release
-RPCs to a *crashed* master are replaced by fencing the dead producer's
-durable log directly (a forced release marker), grants persistently
-retry and fail over to a live site, and a suspected-but-alive master
-aborts the transaction with a timeout rather than risking a split
-mastership. Without an installed injector every code path below is the
-legacy one, event-for-event.
+The protocol is written once and is survivable: masters are
+health-checked before routing (an unhealthy master is one more reason
+to remaster), release RPCs to a *crashed* master are replaced by
+fencing the dead producer's durable log directly (a forced release
+marker), grants persistently retry and fail over to a live site, and a
+suspected-but-alive master aborts the transaction with a timeout rather
+than risking a split mastership. Without an installed injector none of
+that can trigger, and the body is the fault-free protocol event for
+event. The one place the two modes run different algorithms is the
+remastering round itself (:meth:`SiteSelector._remaster` vs
+:meth:`SiteSelector._remaster_faulted`).
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from repro.faults.errors import (
 from repro.partitioning.schemes import PartitionScheme
 from repro.replication.log import RELEASE, LogRecord
 from repro.sim.resources import Resource
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
-from repro.systems.base import Cluster, Session
+from repro.sites.messages import guarded_call, retry_policy
+from repro.systems.base import Cluster, Session, choose_fresh_site
 from repro.transactions import Transaction
 from repro.versioning.vectors import VersionVector
 
@@ -58,9 +61,9 @@ class RouteResult:
     partitions: Tuple[int, ...]
     remastered: bool
     partitions_moved: int = 0
-    #: Activity-registration token (fault-aware routing only); passing
-    #: it to ``execute_update`` / ``activity.finish`` makes in-flight
-    #: deregistration idempotent across RPC retries and crashes.
+    #: Activity-registration token; passing it to ``execute_update`` /
+    #: ``activity.finish`` makes in-flight deregistration idempotent
+    #: across RPC retries and crashes.
     token: Optional[tuple] = None
 
 
@@ -129,38 +132,39 @@ class SiteSelector:
         Generator returning a :class:`RouteResult`. On return, the
         transaction is registered as in-flight on its partitions at the
         chosen site, so a subsequent release will wait for it.
+
+        A write set with one healthy master routes there under shared
+        partition locks. A distributed write set — or, under fault
+        injection, a crashed or suspected master — upgrades to
+        exclusive locks and remasters onto one site. Raises
+        :class:`TransactionAborted` when failure handling cannot route
+        the transaction; partition locks are always released.
         """
-        if self.cluster.faults is not None:
-            result = yield from self._route_update_faulted(txn, session)
-            return result
         env = self.env
         tracer = env.obs.tracer
         traced = tracer.enabled
+        token = (txn.txn_id, self._route_seq)
+        self._route_seq += 1
         route_started = env._now
         partitions = sorted(self.scheme.partitions_of(txn.write_set))
-        lock_started = env._now
         yield from self.cpu.use(self.config.costs.route_lookup_ms,
                                 txn=txn, track="selector")
         for partition in partitions:
             yield self.table.info(partition).lock.acquire_read()
-        txn.add_timing("selector_lock", env._now - lock_started)
+        txn.add_timing("selector_lock", env._now - route_started)
         if traced:
-            tracer.span("selector_lock", lock_started, env._now,
+            tracer.span("selector_lock", route_started, env._now,
                         track="selector", txn=txn)
         self.statistics.observe(env._now, txn.client_id, partitions)
 
         masters = self.table.masters_of(partitions)
         if len(masters) <= 1:
             site = masters.pop() if masters else 0
-            self._register(site, partitions, shared=True)
-            if traced:
-                tracer.span("route", route_started, env._now,
-                            track="selector", txn=txn, site=site)
-            if self.ledger.enabled:
-                self.ledger.route(env._now, site, 0)
-            return RouteResult(site, None, tuple(partitions), False)
+            if self._healthy(site):
+                self._register(site, partitions, token, shared=True)
+                return self._routed(txn, route_started, site, None, partitions, 0, token)
 
-        # Distributed masters: upgrade to exclusive partition locks.
+        # Distributed or unhealthy masters: upgrade to exclusive locks.
         decision_started = env._now
         for partition in partitions:
             self.table.info(partition).lock.release_read()
@@ -168,95 +172,78 @@ class SiteSelector:
             yield self.table.info(partition).lock.acquire_write()
         masters = self.table.masters_of(partitions)
         if len(masters) == 1:
-            # A concurrent remastering co-located the write set for us
-            # (clients benefit from remastering initiated by clients
-            # with common write sets, §III-B).
-            site = masters.pop()
-            txn.add_timing("routing", env._now - decision_started)
-            if traced:
-                tracer.span("routing", decision_started, env._now,
-                            track="selector", txn=txn)
-            self._register(site, partitions, shared=False)
-            if traced:
-                tracer.span("route", route_started, env._now,
-                            track="selector", txn=txn, site=site)
-            if self.ledger.enabled:
-                self.ledger.route(env._now, site, 0)
-            return RouteResult(site, None, tuple(partitions), False)
+            site = next(iter(masters))
+            if self._healthy(site):
+                # A concurrent remastering co-located the write set for
+                # us (clients benefit from remastering initiated by
+                # clients with common write sets, §III-B).
+                self._routing_done(txn, decision_started)
+                self._register(site, partitions, token)
+                return self._routed(txn, route_started, site, None, partitions, 0, token)
 
         yield from self.cpu.use(self.config.costs.remaster_decision_ms,
                                 txn=txn, track="selector")
-        site_vvs = [site.svv for site in self.cluster.sites]
-        session_vv = session.cvv if session is not None else None
-        decision = self.strategy.decide(partitions, site_vvs, session_vv)
-        destination = decision.site
-        moves = [
-            (source, tuple(group))
-            for source, group in self.table.group_by_master(partitions).items()
-            if source != destination
-        ]
-        decision_seq = None
-        if self.ledger.enabled:
-            decision_seq = self.ledger.decision(
-                env._now, txn, partitions, decision, self.strategy.weights, moves
-            )
-        # Keep exclusive locks only on the partitions actually moving;
-        # the rest downgrade to shared so that unrelated transactions on
-        # those (typically hot, stationary) partitions keep routing
-        # while the release/grant protocol runs.
-        moving = {partition for _, group in moves for partition in group}
-        for partition in partitions:
-            if partition not in moving:
-                self.table.info(partition).lock.downgrade()
-        grant_processes = [
-            env.process(self._move(source, group, destination, txn))
-            for source, group in moves
-        ]
-        grant_vvs = yield env.all_of(grant_processes)
-        min_vv = VersionVector.zeros(self.cluster.num_sites)
-        for grant_vv in grant_vvs:
-            min_vv.merge(grant_vv)
-        for source, group in moves:
-            for partition in group:
-                self.table.set_master(partition, destination)
-                if self.ledger.enabled:
-                    self.ledger.ownership(env._now, partition, source,
-                                          destination, decision_seq)
-        moved = sum(len(group) for group in (group for _, group in moves))
-        self.remaster_operations += len(moves)
-        self.partitions_moved += moved
-        self.updates_remastered += 1
+        if self.cluster.faults is None:
+            # UNFAULTED_FINGERPRINTS: one parallel round, stationary
+            # partitions downgraded to shared locks.
+            remastering = self._remaster(partitions, txn, session)
+        else:
+            # FAULTED_FINGERPRINTS: sequential rounds until one healthy
+            # site masters the whole write set.
+            remastering = self._remaster_faulted(partitions, txn, session)
+        destination, min_vv, moved, operations, exclusive = yield from remastering
+        if operations:
+            self.remaster_operations += operations
+            self.partitions_moved += moved
+            self.updates_remastered += 1
+            self._routing_done(txn, decision_started, remastered=True)
+            if traced:
+                tracer.instant(
+                    "remaster", env._now, track="selector", txn=txn,
+                    destination=destination, partitions_moved=moved,
+                    operations=operations,
+                )
+        else:
+            self._routing_done(txn, decision_started)
+        self._register(destination, partitions, token, exclusive=exclusive)
+        return self._routed(txn, route_started, destination,
+                            min_vv if operations else None, partitions, moved, token)
+
+    def _routing_done(self, txn: Transaction, decision_started: float,
+                      **span_args) -> None:
+        """Charge the exclusive-lock decision phase to ``routing``."""
+        env = self.env
         txn.add_timing("routing", env._now - decision_started)
-        if traced:
+        tracer = env.obs.tracer
+        if tracer.enabled:
             tracer.span("routing", decision_started, env._now,
-                        track="selector", txn=txn, remastered=True)
-            tracer.instant(
-                "remaster", env._now, track="selector", txn=txn,
-                destination=destination, partitions_moved=moved,
-                operations=len(moves),
-            )
-        self._register(destination, partitions, exclusive=moving)
-        if traced:
+                        track="selector", txn=txn, **span_args)
+
+    def _routed(self, txn, route_started, site, min_vv, partitions, moved, token):
+        """Close out one routing: trace and ledger it, build the result."""
+        env = self.env
+        tracer = env.obs.tracer
+        if tracer.enabled:
             tracer.span("route", route_started, env._now,
-                        track="selector", txn=txn, site=destination)
+                        track="selector", txn=txn, site=site)
         if self.ledger.enabled:
-            self.ledger.route(env._now, destination, moved)
-        return RouteResult(destination, min_vv, tuple(partitions), True, moved)
+            self.ledger.route(env._now, site, moved)
+        return RouteResult(site, min_vv, tuple(partitions), moved > 0, moved, token)
 
     def _register(
         self,
         site: int,
         partitions: Sequence[int],
+        token: tuple,
         shared: bool = False,
         exclusive: Optional[set] = None,
-        token: Optional[tuple] = None,
     ) -> None:
         """Register the routed txn in-flight, then drop partition locks.
 
         ``shared=True`` releases read holds on everything; otherwise
         partitions in ``exclusive`` release write holds and the rest
         release read holds (the downgraded stationary partitions of a
-        remastering).
+        remastering); ``exclusive=None`` means every partition.
         """
         self.cluster.activity.begin(site, partitions, token)
         for partition in partitions:
@@ -270,124 +257,67 @@ class SiteSelector:
         self.updates_routed += 1
         self.route_counts[site] += 1
 
-    def _move(self, source: int, partitions: Tuple[int, ...], destination: int,
-              txn: Optional[Transaction] = None):
-        """One release -> grant chain of Algorithm 1 (lines 7-8).
-
-        ``txn`` is the remastering-triggering transaction, used only to
-        attribute the release/grant spans in a trace.
-        """
-        tracer = self.env.obs.tracer
-        traced = tracer.enabled
-        sites = self.cluster.sites
-        release_started = self.env._now
-        release_vv = yield from remote_call(
-            self.network,
-            sites[source].release_mastership(partitions),
-            category="remaster",
-        )
-        if traced:
-            tracer.span("release", release_started, self.env._now,
-                        track=f"site{source}", txn=txn,
-                        partitions=len(partitions))
-        grant_started = self.env._now
-        grant_vv = yield from remote_call(
-            self.network,
-            sites[destination].grant_mastership(partitions, release_vv, source=source),
-            category="remaster",
-        )
-        if traced:
-            tracer.span("grant", grant_started, self.env._now,
-                        track=f"site{destination}", txn=txn,
-                        partitions=len(partitions), source=source)
-            tracer.edge("remaster", release_started, txn=txn,
-                        track="selector", source=source,
-                        destination=destination,
-                        partitions=len(partitions),
-                        waited=self.env._now - release_started)
-        return grant_vv
-
-    # -- fault-aware write routing ---------------------------------------------
-
     def _healthy(self, site: int) -> bool:
-        return (
-            self.cluster.sites[site].alive
-            and not self.cluster.faults.detector.is_suspected(site)
+        """Alive and unsuspected (always, without an injector)."""
+        faults = self.cluster.faults
+        return self.cluster.sites[site].alive and (
+            faults is None or not faults.detector.is_suspected(site)
         )
 
-    def _route_update_faulted(self, txn: Transaction, session: Optional[Session]):
-        """Survivable :meth:`route_update`: health-checked masters,
-        failover remastering away from crashed sites.
+    def _remaster(self, partitions: Sequence[int], txn: Transaction,
+                  session: Optional[Session]):
+        """Algorithm 1 in one round: every move runs in parallel.
 
-        A healthy single master routes exactly like the legacy path. An
-        unhealthy master — or a genuinely distributed write set — takes
-        exclusive locks on the whole write set (no downgrade
-        optimization: under faults a move can cascade if the chosen
-        destination dies mid-protocol, and the simpler lock discipline
-        keeps that re-entrant) and remasters onto a live site. Raises
-        :class:`TransactionAborted` when failure handling cannot route
-        the transaction; partition locks are always released.
+        Keeps exclusive locks only on the partitions actually moving;
+        the rest downgrade to shared so that unrelated transactions on
+        those (typically hot, stationary) partitions keep routing while
+        the release/grant protocol runs. Returns ``(destination,
+        min_vv, partitions moved, operations, exclusive partitions)``.
         """
         env = self.env
-        token = (txn.txn_id, self._route_seq)
-        self._route_seq += 1
-        partitions = sorted(self.scheme.partitions_of(txn.write_set))
-        yield from self.cpu.use(self.config.costs.route_lookup_ms,
-                                txn=txn, track="selector")
+        decision, excluded, health = self._choose_destination(partitions, session)
+        destination = decision.site
+        moves = [
+            (source, tuple(group))
+            for source, group in self.table.group_by_master(partitions).items()
+            if source != destination
+        ]
+        decision_seq = self._record_decision(txn, partitions, decision, moves,
+                                             excluded, health)
+        moving = {partition for _, group in moves for partition in group}
         for partition in partitions:
-            yield self.table.info(partition).lock.acquire_read()
-        self.statistics.observe(env._now, txn.client_id, partitions)
+            if partition not in moving:
+                self.table.info(partition).lock.downgrade()
+        grants = yield env.all_of([
+            env.process(self._move(source, group, destination, txn))
+            for source, group in moves
+        ])
+        min_vv = VersionVector.zeros(self.cluster.num_sites)
+        for (source, group), (target, grant_vv) in zip(moves, grants):
+            min_vv.merge(grant_vv)
+            self._transfer(group, source, target, decision_seq)
+        return destination, min_vv, len(moving), len(moves), moving
 
-        masters = self.table.masters_of(partitions)
-        if len(masters) <= 1:
-            site = masters.pop() if masters else 0
-            if self._healthy(site):
-                self._register(site, partitions, shared=True, token=token)
-                if self.ledger.enabled:
-                    self.ledger.route(env._now, site, 0)
-                return RouteResult(site, None, tuple(partitions), False, token=token)
-        # Unhealthy master or distributed write set: exclusive locks on
-        # everything, then remaster onto a live destination.
-        for partition in partitions:
-            self.table.info(partition).lock.release_read()
-        for partition in partitions:
-            yield self.table.info(partition).lock.acquire_write()
-        try:
-            masters = self.table.masters_of(partitions)
-            if len(masters) == 1:
-                only = next(iter(masters))
-                if self._healthy(only):
-                    # A concurrent routing already healed this write set.
-                    self._register(only, partitions, token=token)
-                    if self.ledger.enabled:
-                        self.ledger.route(env._now, only, 0)
-                    return RouteResult(
-                        only, None, tuple(partitions), False, token=token
-                    )
-            yield from self.cpu.use(self.config.costs.remaster_decision_ms,
-                                    txn=txn, track="selector")
-            destination, min_vv, moved, operations = yield from self._remaster_faulted(
-                partitions, txn, session
-            )
-        except FaultError:
-            for partition in partitions:
-                self.table.info(partition).lock.release_write()
-            raise
-        if operations:
-            self.remaster_operations += operations
-            self.partitions_moved += moved
-            self.updates_remastered += 1
-        self._register(destination, partitions, token=token)
-        if self.ledger.enabled:
-            self.ledger.route(env._now, destination, moved)
-        return RouteResult(
-            destination,
-            min_vv if operations else None,
-            tuple(partitions),
-            operations > 0,
-            moved,
-            token=token,
+    def _record_decision(self, txn, partitions, decision, moves, excluded, health):
+        """Ledger one strategy decision; its sequence id (None unobserved)."""
+        if not self.ledger.enabled:
+            return None
+        return self.ledger.decision(
+            self.env._now, txn, partitions, decision, self.strategy.weights,
+            moves, excluded=excluded, health=health,
         )
+
+    def _transfer(self, group, source: int, target: int, decision_seq) -> None:
+        """Commit a landed move to the partition table (and the ledger).
+
+        ``target`` is where mastership actually landed — a grant can
+        fail over to a live site other than the decision's choice.
+        """
+        for partition in group:
+            self.table.set_master(partition, target)
+            if self.ledger.enabled:
+                self.ledger.ownership(self.env._now, partition, source,
+                                      target, decision_seq)
 
     def _remaster_faulted(
         self, partitions: Sequence[int], txn: Transaction, session: Optional[Session]
@@ -402,58 +332,56 @@ class SiteSelector:
         a plan may now crash a site repeatedly (non-overlapping
         windows), so rather than relying on fresh-crash counting the
         loop simply gives up past the bound and aborts the transaction
-        cleanly with ``remastering did not converge``.
+        cleanly with ``remastering did not converge``. The write set
+        stays exclusively locked throughout (a move can cascade if the
+        chosen destination dies mid-protocol, and the simpler lock
+        discipline keeps that re-entrant); on abort those locks are
+        dropped before the error propagates. Returns the same tuple as
+        :meth:`_remaster`.
         """
-        faults = self.cluster.faults
         min_vv = VersionVector.zeros(self.cluster.num_sites)
         moved = 0
         operations = 0
-        for _round in range(self.cluster.num_sites + 1):
-            groups = self.table.group_by_master(partitions)
-            masters = set(groups)
-            if len(masters) == 1:
-                only = next(iter(masters))
-                if self._healthy(only):
-                    return only, min_vv, moved, operations
-            decision, excluded, health = self._choose_destination_faulted(
-                partitions, session
+        try:
+            for _round in range(self.cluster.num_sites + 1):
+                groups = self.table.group_by_master(partitions)
+                if len(groups) == 1:
+                    only = next(iter(groups))
+                    if self._healthy(only):
+                        return only, min_vv, moved, operations, None
+                decision, excluded, health = self._choose_destination(
+                    partitions, session
+                )
+                destination = decision.site
+                moves = [
+                    (source, tuple(group))
+                    for source, group in sorted(groups.items())
+                    if source != destination
+                ]
+                if not moves:
+                    return destination, min_vv, moved, operations, None
+                decision_seq = self._record_decision(txn, partitions, decision,
+                                                     moves, excluded, health)
+                for source, group in moves:
+                    target, grant_vv = yield from self._move(
+                        source, group, destination, txn
+                    )
+                    min_vv.merge(grant_vv)
+                    self._transfer(group, source, target, decision_seq)
+                    operations += 1
+                    moved += len(group)
+            reason = (
+                REASON_SITE_CRASH if self.cluster.faults.any_crashed else REASON_TIMEOUT
             )
-            destination = decision.site
-            moves = [
-                (source, tuple(group))
-                for source, group in sorted(groups.items())
-                if source != destination
-            ]
-            if not moves:
-                return destination, min_vv, moved, operations
-            decision_seq = None
-            if self.ledger.enabled:
-                decision_seq = self.ledger.decision(
-                    self.env._now, txn, partitions, decision,
-                    self.strategy.weights, moves, excluded=excluded,
-                    health=health,
-                )
-            for source, group in moves:
-                target, grant_vv = yield from self._move_faulted(
-                    source, group, destination, txn
-                )
-                min_vv.merge(grant_vv)
-                for partition in group:
-                    self.table.set_master(partition, target)
-                    # The grant can fail over to a live site other than
-                    # the decision's choice; the timeline records where
-                    # mastership actually landed.
-                    if self.ledger.enabled:
-                        self.ledger.ownership(self.env._now, partition,
-                                              source, target, decision_seq)
-                operations += 1
-                moved += len(group)
-        reason = REASON_SITE_CRASH if faults.any_crashed else REASON_TIMEOUT
-        raise TransactionAborted(
-            reason, f"remastering of {tuple(partitions)} did not converge"
-        )
+            raise TransactionAborted(
+                reason, f"remastering of {tuple(partitions)} did not converge"
+            )
+        except FaultError:
+            for partition in partitions:
+                self.table.info(partition).lock.release_write()
+            raise
 
-    def _choose_destination_faulted(
+    def _choose_destination(
         self, partitions: Sequence[int], session: Optional[Session]
     ):
         """Strategy choice restricted to live (and ideally unsuspected) sites.
@@ -463,7 +391,7 @@ class SiteSelector:
         sites failure handling removed, and the per-site health
         evidence the decision saw (empty when health-aware remastering
         is off), all recorded by the decision ledger when one is
-        attached.
+        attached. Without an injector nothing is excluded.
 
         Health-aware remastering: with a nonzero ``weights.health``,
         the detector's graded health scores enter the benefit as a
@@ -474,61 +402,62 @@ class SiteSelector:
         """
         faults = self.cluster.faults
         sites = self.cluster.sites
-        dead = {site.index for site in sites if not site.alive}
-        suspected = {
-            index
-            for index in range(self.cluster.num_sites)
-            if faults.detector.is_suspected(index)
-        }
-        exclude = dead | suspected
-        if len(exclude) >= self.cluster.num_sites:
-            exclude = dead
-        site_vvs = [site.svv for site in sites]
-        session_vv = session.cvv if session is not None else None
+        exclude: set = set()
         health: Tuple[float, ...] = ()
-        if self.strategy.weights.health:
+        if faults is not None:
             detector = faults.detector
-            health = tuple(
-                detector.health(index) if sites[index].alive else 0.0
+            dead = {site.index for site in sites if not site.alive}
+            suspected = {
+                index
                 for index in range(self.cluster.num_sites)
-            )
+                if detector.is_suspected(index)
+            }
+            exclude = dead | suspected
+            if len(exclude) >= self.cluster.num_sites:
+                exclude = dead
+            if self.strategy.weights.health:
+                health = tuple(
+                    detector.health(index) if sites[index].alive else 0.0
+                    for index in range(self.cluster.num_sites)
+                )
         decision = self.strategy.decide(
-            partitions, site_vvs, session_vv, exclude=exclude,
+            partitions,
+            [site.svv for site in sites],
+            session.cvv if session is not None else None,
+            exclude=exclude,
             health=health or None,
         )
         return decision, exclude, health
 
-    def _move_faulted(
-        self,
-        source: int,
-        partitions: Tuple[int, ...],
-        destination: int,
-        txn: Transaction,
-    ):
-        """One survivable release -> grant chain.
+    def _move(self, source: int, partitions: Tuple[int, ...], destination: int,
+              txn: Transaction):
+        """One release -> grant chain of Algorithm 1 (lines 7-8).
 
-        Release: a *crashed* source is fenced through its durable log
-        (:meth:`_force_release` — the log service refuses appends from
-        a dead producer, so writing the marker on its behalf is safe);
-        a live source gets a guarded RPC with bounded retries — a
-        suspected-but-alive master times the transaction out instead of
-        risking two masters. Grant: must land somewhere once the
-        release marker exists, or the partitions stay orphaned — so it
-        retries persistently, failing over to another live site if the
-        chosen target dies. Returns ``(actual target, grant vector)``.
+        Returns ``(actual target, grant vector)``. ``txn`` is the
+        remastering-triggering transaction, used to attribute the
+        release/grant spans in a trace.
+
+        Survivable under faults. Release: a *crashed* source is fenced
+        through its durable log (:meth:`_force_release` — the log
+        service refuses appends from a dead producer, so writing the
+        marker on its behalf is safe); a live source gets a guarded RPC
+        with bounded retries — a suspected-but-alive master times the
+        transaction out instead of risking two masters. Grant: must
+        land somewhere once the release marker exists, or the
+        partitions stay orphaned — so it retries persistently, failing
+        over to another live site if the chosen target dies.
         """
         env = self.env
-        faults = self.cluster.faults
         sites = self.cluster.sites
-        policy = RetryPolicy(faults.rpc, faults.rng)
-        timeout_ms = faults.rpc.remaster_timeout_ms
+        policy = retry_policy(self.cluster.faults)
+        timeout_ms = self.config.rpc.remaster_timeout_ms
         tracer = env.obs.tracer
-        chain_started = env._now
+        release_started = env._now
 
         release_vv = None
         failures = 0
         while release_vv is None:
-            if faults.is_crashed(source):
+            if not sites[source].alive:
                 release_vv = self._force_release(source, partitions)
                 break
             try:
@@ -540,7 +469,7 @@ class SiteSelector:
                     timeout_ms=timeout_ms,
                 )
             except SiteDown:
-                continue  # re-checks is_crashed -> forced release
+                continue  # re-checks liveness -> forced release
             except RpcTimeout:
                 failures += 1
                 if failures >= policy.attempts:
@@ -549,12 +478,17 @@ class SiteSelector:
                         f"release of {partitions} at site {source} timed out",
                     )
                 yield env.timeout(policy.backoff_ms(failures - 1))
+        if tracer.enabled:
+            tracer.span("release", release_started, env._now,
+                        track=f"site{source}", txn=txn,
+                        partitions=len(partitions))
 
         failures = 0
         target = destination
         while True:
             if not sites[target].alive:
                 target = self._alive_target()
+            grant_started = env._now
             try:
                 grant_vv = yield from guarded_call(
                     self.network,
@@ -565,13 +499,6 @@ class SiteSelector:
                     category="remaster",
                     timeout_ms=timeout_ms,
                 )
-                if tracer.enabled:
-                    tracer.edge("remaster", chain_started, txn=txn,
-                                track="selector", source=source,
-                                destination=target,
-                                partitions=len(partitions),
-                                waited=env._now - chain_started)
-                return target, grant_vv
             except SiteDown:
                 continue  # re-picks a live target
             except RpcTimeout:
@@ -580,6 +507,17 @@ class SiteSelector:
                 # the returned vector still covers the release point).
                 failures += 1
                 yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
+                continue
+            if tracer.enabled:
+                tracer.span("grant", grant_started, env._now,
+                            track=f"site{target}", txn=txn,
+                            partitions=len(partitions), source=source)
+                tracer.edge("remaster", release_started, txn=txn,
+                            track="selector", source=source,
+                            destination=target,
+                            partitions=len(partitions),
+                            waited=env._now - release_started)
+            return target, grant_vv
 
     def _alive_target(self) -> int:
         """Lowest-indexed live unsuspected site (live site as fallback)."""
@@ -622,40 +560,12 @@ class SiteSelector:
     # -- read routing (§IV-B) --------------------------------------------------------
 
     def route_read(self, txn: Transaction, session: Session):
-        """Pick a session-fresh site for a read-only transaction.
-
-        Under fault injection, crashed and suspected sites are filtered
-        out first (falling back to any live site when suspicion covers
-        everything).
-        """
+        """Pick a session-fresh site for a read-only transaction
+        (:func:`~repro.systems.base.choose_fresh_site`)."""
         route_started = self.env._now
         yield from self.cpu.use(self.config.costs.route_lookup_ms,
                                 txn=txn, track="selector")
-        faults = self.cluster.faults
-        if faults is None:
-            candidates = self.cluster.sites
-        else:
-            detector = faults.detector
-            candidates = [
-                site for site in self.cluster.sites
-                if site.alive and not detector.is_suspected(site.index)
-            ]
-            if not candidates:
-                candidates = [site for site in self.cluster.sites if site.alive]
-            if not candidates:
-                candidates = self.cluster.sites
-        fresh = [
-            site.index
-            for site in candidates
-            if site.svv.dominates(session.cvv)
-        ]
-        if fresh:
-            choice = fresh[self._read_rng.randrange(len(fresh))]
-        else:
-            choice = min(
-                candidates,
-                key=lambda site: site.svv.lag_behind(session.cvv),
-            ).index
+        choice = choose_fresh_site(self.cluster, session, self._read_rng)
         self.reads_routed += 1
         tracer = self.env.obs.tracer
         if tracer.enabled:

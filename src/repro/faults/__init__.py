@@ -3,8 +3,11 @@ failures) and the failure-handling vocabulary the protocol stack
 shares.
 
 The package is inert unless a :class:`FaultInjector` is installed on a
-cluster: every hook in the simulator is gated on ``faults is None``, so
-runs without a plan are bit-identical to the pre-fault codebase.
+cluster. The protocol stack has one fault-aware body per system, built
+on the RPC primitives of :mod:`repro.sites.messages`, which reduce to
+the plain simulation when no injector is installed (a guarded call is
+a remote call, a retry policy allows a single attempt); runs without a
+plan are therefore bit-identical to the fault-free protocol.
 
 The fault model — crash/restart semantics, the hardened RPC layer
 (timeouts, seeded-jitter retries, suspicion), gray failures (fail-slow

@@ -7,20 +7,25 @@ version watch), and the reply traverses the network back. The handler
 executes inside the caller's simulated process, which is semantically
 equivalent for timing purposes and keeps the call structure direct.
 
-:func:`guarded_call` is the fault-aware variant: the handler runs in
-its own tracked process on the destination (so a crash can interrupt
-it), the caller races it against an RPC timeout and the destination's
-crash, and per-link loss/partition/delay from the installed fault
-injector applies to both legs. Without an injector it delegates to
-:func:`remote_call`, byte- and event-identical to the legacy path.
+Every protocol body in :mod:`repro.systems` and the site selector is
+written once, against the fault-aware primitives here:
+:func:`guarded_call` (an RPC raced against timeout and crash),
+:func:`site_process` (work at a site, crash-raced), :func:`retry_policy`
+and :func:`fan_out` (one protocol round over several legs). Each
+reduces exactly to the plain simulation when the run has no fault
+injector — a guarded call is :func:`remote_call`, site work runs
+inline, the retry policy allows a single attempt and draws no jitter,
+and a round's legs run in parallel — so an uninjected run is
+event-for-event the fault-free protocol.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.faults.errors import FaultError, RpcTimeout, SiteDown
 from repro.faults.plan import FRONTEND
+from repro.sim.config import RpcConfig
 from repro.sim.network import Network
 from repro.transactions import Transaction
 
@@ -95,8 +100,17 @@ def site_process(site, handler: Generator):
     For work a protocol executes *at* a site outside any RPC (a 2PC
     coordinator's own branch and decision logic): if the site crashes
     mid-way the handler is interrupted and the caller sees
-    :class:`SiteDown`. Usage: ``x = yield from site_process(site, gen)``.
+    :class:`SiteDown`. Without an injector nothing can crash, so the
+    handler itself is returned and runs inline in the caller's process.
+    Usage: ``x = yield from site_process(site, gen)``.
     """
+    if site.network.faults is None:
+        return handler
+    return _crash_raced(site, handler)
+
+
+def _crash_raced(site, handler: Generator):
+    """:func:`site_process` with an injector installed."""
     if not site.alive:
         raise SiteDown(site.index)
     env = site.env
@@ -143,17 +157,23 @@ def guarded_call(
       cleanup there is the *handler's* responsibility, not the
       caller's.
 
-    Every outcome is reported to the injector's failure detector.
-    Without an injector this is exactly :func:`remote_call`.
+    Every outcome is reported to the injector's failure detector, and
+    every leg that crosses the wire is charged to ``txn``'s ``network``
+    bucket (and traced) as in :func:`remote_call`. Without an injector
+    this *is* :func:`remote_call` (its generator is returned directly,
+    so the delegation costs no extra frame per event).
     """
+    if network.faults is None:
+        return remote_call(network, handler, request_size, response_size,
+                           category, txn)
+    return _guarded(network, site, handler, src, request_size, response_size,
+                    category, txn, timeout_ms)
+
+
+def _guarded(network, site, handler, src, request_size, response_size,
+             category, txn, timeout_ms):
+    """:func:`guarded_call` with an injector installed."""
     faults = network.faults
-    if faults is None:
-        result = yield from remote_call(
-            network, handler,
-            request_size=request_size, response_size=response_size,
-            category=category, txn=txn,
-        )
-        return result
     env = network.env
     dst = site.index
     # Explicit per-call budgets (remastering's longer leash) win;
@@ -173,6 +193,17 @@ def guarded_call(
                     category=category, outcome=outcome, dst=dst,
                     rtt=env.now - started)
 
+    def _leg(delay):
+        # One wire leg traversed: the caller waits it out, and the
+        # transaction's latency breakdown charges it to the network.
+        leg_started = env.now
+        yield env.timeout(delay)
+        if txn is not None:
+            txn.add_timing("network", delay)
+            if traced:
+                tracer.span("network", leg_started, env.now,
+                            track="net", txn=txn, category=category)
+
     def _timed_out(dispatched):
         remaining = budget - (env.now - started)
         faults.detector.report_timeout(dst)
@@ -188,7 +219,7 @@ def guarded_call(
         if traced:
             _edge("timeout")
         raise exc
-    yield env.timeout(network.leg_delay(src, dst, request_size))
+    yield from _leg(network.leg_delay(src, dst, request_size))
     if not site.alive:
         # Connection refused: the reset travels the reverse leg (and
         # can itself be lost, which then looks like a timeout).
@@ -198,7 +229,7 @@ def guarded_call(
             if traced:
                 _edge("timeout")
             raise exc
-        yield env.timeout(network.leg_delay(dst, src))
+        yield from _leg(network.leg_delay(dst, src))
         faults.detector.report_down(dst)
         if traced:
             _edge("down")
@@ -226,7 +257,7 @@ def guarded_call(
             if traced:
                 _edge("timeout")
             raise exc
-        yield env.timeout(network.leg_delay(dst, src, response_size))
+        yield from _leg(network.leg_delay(dst, src, response_size))
         faults.detector.report_success(dst)
         # Passive RTT observation feeding the adaptive deadline /
         # hedge-delay quantiles (recording only — no events, no draws).
@@ -248,16 +279,64 @@ def guarded_call(
 class RetryPolicy:
     """Bounded retries with seeded, jittered exponential backoff."""
 
-    def __init__(self, rpc, rng):
-        self.rpc = rpc
-        self._rng = rng
+    __slots__ = ("rpc", "attempts", "_rng")
 
-    @property
-    def attempts(self) -> int:
-        """Total tries: the first attempt plus ``max_retries`` retries."""
-        return self.rpc.max_retries + 1
+    def __init__(self, rpc: RpcConfig, rng):
+        self.rpc = rpc
+        #: Total tries: the first attempt plus ``max_retries`` retries.
+        self.attempts = rpc.max_retries + 1
+        self._rng = rng
 
     def backoff_ms(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (0-based), jittered ±50%."""
         base = min(self.rpc.backoff_cap_ms, self.rpc.backoff_base_ms * (2.0 ** attempt))
         return base * (0.5 + self._rng.random())
+
+
+#: The policy of a run without an injector: one attempt, no hedging.
+#: Nothing can fail there, so no retry loop ever reaches a backoff and
+#: no jitter is drawn (the policy has no RNG to draw from).
+NO_RETRY = RetryPolicy(RpcConfig(max_retries=0, hedged_reads=False), rng=None)
+
+
+def retry_policy(faults) -> RetryPolicy:
+    """The retry policy of a run whose fault injector is ``faults``.
+
+    Seeded from the injector's RNG stream and RPC settings; the shared
+    single-attempt :data:`NO_RETRY` when no injector is installed.
+    """
+    if faults is None:
+        return NO_RETRY
+    return RetryPolicy(faults.rpc, faults.rng)
+
+
+def fan_out(network: Network, legs: Sequence[Generator],
+            landed: Optional[Callable] = None) -> Generator:
+    """Run one protocol round over ``legs``; returns their results in order.
+
+    ``legs`` are generators, each one branch of the round with its own
+    retry handling (a 2PC vote, a sub-read, a record shipment). Without
+    an injector they run as parallel processes joined by one
+    ``all_of``, so the round costs its slowest leg. Under faults they
+    run one after another in the caller's process: a leg that gives up
+    raises before later legs are dispatched, which keeps failure
+    handling exact. ``landed(result)``, if given, is called for each
+    leg once its result is final — right after the leg under faults,
+    after the join without. One of the few places the protocol stack
+    runs a different schedule per mode (DESIGN.md §7).
+    """
+    env = network.env
+    if network.faults is None:
+        # UNFAULTED_FINGERPRINTS: parallel legs; FAULTED_*: sequential.
+        results = yield env.all_of([env.process(leg) for leg in legs])
+        if landed is not None:
+            for result in results:
+                landed(result)
+        return results
+    results = []
+    for leg in legs:
+        result = yield from leg
+        if landed is not None:
+            landed(result)
+        results.append(result)
+    return results

@@ -9,7 +9,7 @@ from repro.core.statistics import StatisticsConfig
 from repro.core.strategy import StrategyWeights
 from repro.faults.errors import FaultError, RpcTimeout, TransactionAborted
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
+from repro.sites.messages import guarded_call, retry_policy
 from repro.systems.base import Cluster, Session, System
 from repro.transactions import Outcome, Transaction
 
@@ -44,52 +44,20 @@ class DynaMast(System):
         self.selector = SiteSelector(cluster, scheme, placement, weights, stats_config)
 
     def submit(self, txn: Transaction, session: Session):
-        if self.cluster.faults is not None:
-            outcome = yield from self._submit_faulted(txn, session)
-            return outcome
-        yield from self.client_hop(txn)  # client -> site selector
-
-        if txn.is_read_only:
-            site_index = yield from self.selector.route_read(txn, session)
-            yield from self.client_hop(txn)  # selector -> client
-            begin = yield from remote_call(
-                self.network,
-                self.sites[site_index].execute_read(txn, min_begin=session.cvv),
-                category="client",
-                txn=txn,
-            )
-            session.observe(begin)
-            return Outcome(committed=True)
-
-        route = yield from self.selector.route_update(txn, session)
-        yield from self.client_hop(txn)  # selector -> client (site + version)
-        min_vv = session.cvv if route.min_vv is None else route.min_vv.element_max(session.cvv)
-        tvv = yield from remote_call(
-            self.network,
-            self.sites[route.site].execute_update(
-                txn, min_vv, partitions=route.partitions
-            ),
-            category="client",
-            txn=txn,
-        )
-        session.observe(tvv)
-        return Outcome(committed=True, remastered=route.remastered)
-
-    def _submit_faulted(self, txn: Transaction, session: Session):
-        """Fault-aware submission: guarded RPCs, bounded retries.
+        """Route and execute ``txn`` over guarded RPCs, with bounded retries.
 
         Each attempt re-routes from scratch, so a retry naturally lands
         on a surviving (or newly restarted) site. A lost-reply timeout
         after dispatch re-executes the transaction — at-least-once
         semantics; every execution is replicated consistently, so
-        replicas still converge (see DESIGN.md, Fault model).
+        replicas still converge (see DESIGN.md, Fault model). Without
+        an injector there is exactly one attempt and nothing fails.
         """
-        faults = self.cluster.faults
-        policy = RetryPolicy(faults.rpc, faults.rng)
+        policy = retry_policy(self.cluster.faults)
         yield from self.client_hop(txn)  # client -> site selector
 
         if txn.is_read_only:
-            hedged = faults.rpc.hedged_reads
+            hedged = policy.rpc.hedged_reads
             for attempt in range(policy.attempts):
                 site_index = yield from self.selector.route_read(txn, session)
                 yield from self.client_hop(txn)  # selector -> client

@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from repro.faults.errors import FaultError
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
+from repro.sites.messages import fan_out, guarded_call, retry_policy
 from repro.storage.locks import LockTable
 from repro.systems.base import Cluster, Session, System
 from repro.transactions import Key, Outcome, Transaction
@@ -54,9 +54,15 @@ class LEAP(System):
         return self.placement[partition]
 
     def submit(self, txn: Transaction, session: Session):
-        if self.cluster.faults is not None:
-            outcome = yield from self._submit_faulted(txn, session)
-            return outcome
+        """Localize every record ``txn`` touches, then run it locally.
+
+        LEAP has no routing freedom, so no failover: the execution site
+        is fixed by the client and every record must ship from its
+        single owner; a crash of either aborts the transaction after
+        bounded retries (LEAP's lack of replicas is precisely what the
+        paper's availability comparison punishes).
+        """
+        policy = retry_policy(self.cluster.faults)
         yield from self.client_hop(txn)  # client -> router
         yield from self.router_cpu.use(self.config.costs.route_lookup_ms,
                                        txn=txn, track="router")
@@ -79,6 +85,7 @@ class LEAP(System):
         execution_site = txn.client_id % self.cluster.num_sites
 
         shipped = False
+        retries = 0
         # Inlined owner_of: every key here is non-static, so the owner
         # is the migrated owner if any, else its partition's home site.
         owners = self._owners
@@ -104,114 +111,42 @@ class LEAP(System):
                 if transfers:
                     shipped = True
                     self.localizations += 1
-                    processes = [
-                        self.env.process(
-                            self._localize(source, tuple(group), execution_site, txn)
+
+                    def landed(outcome):
+                        # A shipped group is owned by the execution site
+                        # once it lands; unshipped groups stay put, so
+                        # an abort mid-localization leaves no half-moved
+                        # group.
+                        nonlocal retries
+                        group, failures = outcome
+                        retries += failures
+                        for key in group:
+                            owners[key] = execution_site
+                        self.records_shipped += len(group)
+
+                    try:
+                        yield from fan_out(self.network, [
+                            self._localize(source, tuple(group), execution_site,
+                                           txn, policy)
+                            for source, group in sorted(transfers.items())
+                        ], landed)
+                    except FaultError as exc:
+                        # The failed group burned every attempt.
+                        return Outcome(
+                            committed=False,
+                            remastered=shipped,
+                            retries=retries + policy.attempts,
+                            abort_reason=exc.reason,
                         )
-                        for source, group in sorted(transfers.items())
-                    ]
-                    yield self.env.all_of(processes)
-                    for group in transfers.values():
-                        for key in group:
-                            self._owners[key] = execution_site
-                            self.records_shipped += 1
             finally:
                 self._migration_locks.release_all(remote_keys)
 
         yield from self.client_hop(txn)  # router -> client
         site = self.sites[execution_site]
-        if txn.is_read_only:
-            yield from remote_call(
-                self.network, site.execute_read(txn), category="client", txn=txn
-            )
-        else:
-            yield from remote_call(
-                self.network, site.execute_update(txn), category="client", txn=txn
-            )
-        return Outcome(committed=True, remastered=shipped)
-
-    def _localize(self, source: int, group: Tuple[Key, ...], destination: int, txn: Transaction):
-        """Ship ``group`` from ``source`` to ``destination``."""
-        payload = yield from remote_call(
-            self.network,
-            self.sites[source].ship_out(group),
-            category="ship",
-            txn=txn,
-        )
-        # The data transfer to the execution site, then installation.
-        delay = self.network.delay_for(payload)
-        self.network.traffic.record("ship", payload)
-        yield self.env.timeout(delay)
-        txn.add_timing("network", delay)
-        yield from self.sites[destination].install_shipment(group)
-
-    # -- fault-aware path ------------------------------------------------------
-
-    def _submit_faulted(self, txn: Transaction, session: Session):
-        """LEAP under faults: no routing freedom, so no failover.
-
-        The execution site is fixed by the client and every record must
-        ship from its single owner; a crash of either aborts the
-        transaction after bounded retries (LEAP's lack of replicas is
-        precisely what the paper's availability comparison punishes).
-        Localizations run sequentially and ownership updates per group
-        as it lands, so an abort mid-localization leaves no half-moved
-        group: shipped groups are owned by the execution site, unshipped
-        groups stay put.
-        """
-        faults = self.cluster.faults
-        policy = RetryPolicy(faults.rpc, faults.rng)
-        yield from self.client_hop(txn)  # client -> router
-        yield from self.router_cpu.use(self.config.costs.route_lookup_ms,
-                                       txn=txn, track="router")
-
-        keys = [key for key in txn.all_keys() if self.scheme.partition(key) is not None]
-        execution_site = txn.client_id % self.cluster.num_sites
-
-        shipped = False
-        retries = 0
-        remote_keys = [key for key in keys if self.owner_of(key) != execution_site]
-        if remote_keys:
-            yield from self._migration_locks.acquire_all(remote_keys)
-            try:
-                transfers: Dict[int, List[Key]] = {}
-                for key in remote_keys:
-                    owner = self.owner_of(key)
-                    if owner != execution_site:
-                        transfers.setdefault(owner, []).append(key)
-                if transfers:
-                    shipped = True
-                    self.localizations += 1
-                    for source, group in sorted(transfers.items()):
-                        group = tuple(group)
-                        for attempt in range(policy.attempts):
-                            try:
-                                yield from self._localize_faulted(
-                                    source, group, execution_site, txn
-                                )
-                                break
-                            except FaultError as exc:
-                                retries += 1
-                                if attempt + 1 >= policy.attempts:
-                                    return Outcome(
-                                        committed=False,
-                                        remastered=shipped,
-                                        retries=retries,
-                                        abort_reason=exc.reason,
-                                    )
-                                yield self.env.timeout(policy.backoff_ms(attempt))
-                        for key in group:
-                            self._owners[key] = execution_site
-                            self.records_shipped += 1
-            finally:
-                self._migration_locks.release_all(remote_keys)
-
-        yield from self.client_hop(txn)  # router -> client
-        site = self.sites[execution_site]
-        handler = (
-            site.execute_read(txn) if txn.is_read_only else site.execute_update(txn)
-        )
         for attempt in range(policy.attempts):
+            handler = (
+                site.execute_read(txn) if txn.is_read_only else site.execute_update(txn)
+            )
             try:
                 yield from guarded_call(
                     self.network, site, handler, category="client", txn=txn
@@ -226,31 +161,47 @@ class LEAP(System):
                         retries=retries,
                         abort_reason=exc.reason,
                     )
-                handler = (
-                    site.execute_read(txn)
-                    if txn.is_read_only
-                    else site.execute_update(txn)
-                )
                 yield self.env.timeout(policy.backoff_ms(attempt))
         return Outcome(committed=True, remastered=shipped, retries=retries)
 
-    def _localize_faulted(self, source: int, group: Tuple[Key, ...], destination: int, txn: Transaction):
-        """One guarded ship-out + transfer + install chain."""
-        payload = yield from guarded_call(
-            self.network,
-            self.sites[source],
-            self.sites[source].ship_out(group),
-            category="ship",
-            txn=txn,
-        )
-        delay = self.network.delay_for(payload)
-        self.network.traffic.record("ship", payload)
-        yield self.env.timeout(delay)
-        txn.add_timing("network", delay)
-        yield from guarded_call(
-            self.network,
-            self.sites[destination],
-            self.sites[destination].install_shipment(group),
-            category="ship",
-            txn=txn,
-        )
+    def _localize(self, source: int, group: Tuple[Key, ...], destination: int,
+                  txn: Transaction, policy):
+        """Ship ``group`` from ``source`` to ``destination``, with retries.
+
+        Returns ``(group, failed attempts)``; once the policy gives up,
+        raises the last fault.
+        """
+        network = self.network
+        failures = 0
+        while True:
+            try:
+                payload = yield from guarded_call(
+                    network,
+                    self.sites[source],
+                    self.sites[source].ship_out(group),
+                    category="ship",
+                    txn=txn,
+                )
+                # The data transfer to the execution site, then installation.
+                delay = network.delay_for(payload)
+                network.traffic.record("ship", payload)
+                yield self.env.timeout(delay)
+                txn.add_timing("network", delay)
+                install = self.sites[destination].install_shipment(group)
+                if network.faults is None:
+                    yield from install
+                else:
+                    # FAULTED_FINGERPRINTS['leap']: under faults the
+                    # install is a guarded RPC, so a dead execution site
+                    # fails the localization instead of absorbing it.
+                    yield from guarded_call(
+                        network, self.sites[destination], install,
+                        category="ship", txn=txn,
+                    )
+                return group, failures
+            except FaultError:
+                failures += 1
+                if failures >= policy.attempts:
+                    raise
+                yield self.env.timeout(policy.backoff_ms(failures - 1))
+

@@ -14,8 +14,8 @@ from typing import Dict
 
 from repro.faults.errors import FaultError
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
-from repro.systems.base import Cluster, Session, System
+from repro.sites.messages import guarded_call, retry_policy
+from repro.systems.base import Cluster, Session, System, choose_fresh_site
 from repro.systems.two_phase_commit import submit_partitioned_write
 from repro.transactions import Outcome, Transaction
 
@@ -49,22 +49,10 @@ class MultiMaster(System):
                                        txn=txn, track="router")
 
         if txn.is_read_only:
-            faults = self.cluster.faults
-            if faults is None:
-                site_index = self.choose_fresh_site(session, self._read_rng)
-                yield from self.client_hop(txn)  # router -> client
-                begin = yield from remote_call(
-                    self.network,
-                    self.sites[site_index].execute_read(txn, min_begin=session.cvv),
-                    category="client",
-                    txn=txn,
-                )
-                session.observe(begin)
-                return Outcome(committed=True)
             # Re-choose a (healthy) replica on every retry.
-            policy = RetryPolicy(faults.rpc, faults.rng)
+            policy = retry_policy(self.cluster.faults)
             for attempt in range(policy.attempts):
-                site_index = self.choose_fresh_site(session, self._read_rng)
+                site_index = choose_fresh_site(self.cluster, session, self._read_rng)
                 yield from self.client_hop(txn)  # router -> client
                 site = self.sites[site_index]
                 try:

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.faults.errors import FaultError
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
+from repro.sites.messages import fan_out, guarded_call, retry_policy
 from repro.systems.base import Cluster, Session, System
 from repro.systems.two_phase_commit import submit_partitioned_write
 from repro.transactions import Key, Outcome, Transaction
@@ -90,86 +90,47 @@ class PartitionStore(System):
             units = [0]
 
         yield from self.client_hop(txn)  # router -> client
-        faults = self.cluster.faults
-        if len(units) <= 1:
-            unit = units[0] if units else 0
-            site_index = self.placement.get(unit, 0)
-            if faults is None:
-                yield from remote_call(
-                    self.network,
-                    self.sites[site_index].execute_read(txn),
-                    category="client",
-                    txn=txn,
-                )
-                return Outcome(committed=True)
-            outcome = yield from self._guarded_read(
-                txn, [(site_index, None, None)], distributed=False
-            )
-            return outcome
-
-        # Scatter-gather: one sub-read per unit, wait for the slowest
-        # (the straggler effect of §VI-B2).
-        self.scatter_gather_reads += 1
-        targets = [
-            (
-                self.placement[unit],
-                tuple(reads.get(unit, ())),
-                tuple(scans.get(unit, ())),
-            )
-            for unit in units
-        ]
-        if faults is None:
-            processes = [
-                self.env.process(
-                    remote_call(
-                        self.network,
-                        self.sites[site_index].execute_read(txn, keys=keys, scans=scan),
-                        category="client",
-                        txn=txn,
-                    )
-                )
-                for site_index, keys, scan in targets
-            ]
-            yield self.env.all_of(processes)
-            return Outcome(committed=True, distributed=True)
-        outcome = yield from self._guarded_read(txn, targets, distributed=True)
-        return outcome
-
-    def _guarded_read(self, txn: Transaction, targets, distributed: bool):
-        """Fault-aware sub-reads, sequential with bounded retries.
-
-        There is no owner to fail over to — each sub-read must succeed
-        at its unit's only copy. Sequential dispatch (instead of the
-        legacy parallel fan-out) keeps per-sub-read failure handling
-        exact; only faulted runs pay the latency.
-        """
-        faults = self.cluster.faults
-        policy = RetryPolicy(faults.rpc, faults.rng)
+        # There is no owner to fail over to: each sub-read retries at
+        # its unit's only copy a bounded number of times, then aborts.
+        policy = retry_policy(self.cluster.faults)
         retries = 0
-        for site_index, keys, scans in targets:
+
+        def sub_read(site_index, keys=None, scans=None):
+            nonlocal retries
             site = self.sites[site_index]
             for attempt in range(policy.attempts):
+                handler = site.execute_read(txn, keys=keys, scans=scans)
                 try:
-                    if keys is None:
-                        yield from guarded_call(
-                            self.network, site, site.execute_read(txn),
-                            category="client", txn=txn,
-                        )
-                    else:
-                        yield from guarded_call(
-                            self.network, site,
-                            site.execute_read(txn, keys=keys, scans=scans),
-                            category="client", txn=txn,
-                        )
-                    break
-                except FaultError as exc:
+                    return (yield from guarded_call(
+                        self.network, site, handler, category="client", txn=txn,
+                    ))
+                except FaultError:
                     retries += 1
                     if attempt + 1 >= policy.attempts:
-                        return Outcome(
-                            committed=False,
-                            distributed=distributed,
-                            retries=retries,
-                            abort_reason=exc.reason,
-                        )
+                        raise
                     yield self.env.timeout(policy.backoff_ms(attempt))
+
+        distributed = len(units) > 1
+        try:
+            if not distributed:
+                yield from sub_read(self.placement.get(units[0] if units else 0, 0))
+            else:
+                # Scatter-gather: one sub-read per unit, wait for the
+                # slowest (the straggler effect of §VI-B2).
+                self.scatter_gather_reads += 1
+                yield from fan_out(self.network, [
+                    sub_read(
+                        self.placement[unit],
+                        tuple(reads.get(unit, ())),
+                        tuple(scans.get(unit, ())),
+                    )
+                    for unit in units
+                ])
+        except FaultError as exc:
+            return Outcome(
+                committed=False,
+                distributed=distributed,
+                retries=retries,
+                abort_reason=exc.reason,
+            )
         return Outcome(committed=True, distributed=distributed, retries=retries)

@@ -23,7 +23,7 @@ from repro.faults.errors import (
     SiteDown,
     TransactionAborted,
 )
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call, site_process
+from repro.sites.messages import fan_out, guarded_call, retry_policy, site_process
 from repro.transactions import Key, Outcome, Transaction
 from repro.versioning.vectors import VersionVector
 
@@ -54,183 +54,103 @@ def two_phase_commit(
 
     Generator returning the element-wise max of the branch commit
     vectors (the version a session must observe).
-    """
-    if system.cluster.faults is not None:
-        merged = yield from _two_phase_commit_faulted(system, txn, branches, min_begin)
-        return merged
-    env = system.env
-    obs = env.obs
-    tracer = obs.tracer
-    traced = tracer.enabled
-    sites = system.sites
-    items = sorted(branches.items(), key=lambda item: (-len(item[1]), item[0]))
-    placement = system.placement
-    coordinator = placement[items[0][0]]
-    coordinator_track = f"site{coordinator}"
-    if obs.enabled:
-        obs.registry.gauge("2pc_inflight").inc()
-        obs.registry.counter("2pc_started").inc()
 
-    # Router -> coordinator dispatch.
-    yield from system.client_hop(txn)
-
-    def fan_out(make_branch, payload=None):
-        """One protocol round: coordinator work + parallel branches."""
-        processes = []
-        for index, (unit, keys) in enumerate(items):
-            site_index = placement[unit]
-            args = (payload[index],) if payload is not None else ()
-            branch = make_branch(sites[site_index], keys, *args)
-            if site_index != coordinator:
-                branch = remote_call(system.network, branch, category="2pc", txn=txn)
-            processes.append(env.process(branch))
-        return env.all_of(processes)
-
-    # The coordinator pays per-branch marshalling / vote-collection /
-    # decision-logging work on every round.
-    coordinate = system.config.costs.coordinate_ms * len(items)
-
-    # Round 1: dispatch branch work (locks acquired, operations run).
-    # Branches are dispatched in global unit order, each waiting for
-    # the previous branch's locks: ordered resource acquisition, the
-    # classic discipline that makes distributed deadlock impossible
-    # when two multi-unit transactions overlap in opposite directions.
-    round_started = env.now
-    yield from sites[coordinator].cpu.use(coordinate, txn=txn,
-                                          track=coordinator_track)
-    begin_vvs = []
-    for unit, keys in sorted(items):
-        site_index = placement[unit]
-        branch = sites[site_index].execute_branch(txn, keys, min_begin)
-        if site_index != coordinator:
-            branch = remote_call(system.network, branch, category="2pc", txn=txn)
-        begin_vv = yield from branch
-        begin_vvs.append(begin_vv)
-    # Re-align begin vectors with the (size-sorted) items order used by
-    # the later rounds.
-    by_unit = {unit: vv for (unit, _), vv in zip(sorted(items), begin_vvs)}
-    begin_vvs = [by_unit[unit] for unit, _ in items]
-    if traced:
-        tracer.span("2pc_execute", round_started, env.now,
-                    track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", round_started, txn=txn,
-                    track=coordinator_track, round="execute",
-                    branches=len(items))
-
-    # Round 2: prepare — participants force-log and vote. Locks held.
-    round_started = env.now
-    yield from sites[coordinator].cpu.use(coordinate, txn=txn,
-                                          track=coordinator_track)
-    yield fan_out(lambda site, keys: site.prepare_branch(txn, keys))
-    if traced:
-        tracer.span("2pc_prepare", round_started, env.now,
-                    track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", round_started, txn=txn,
-                    track=coordinator_track, round="prepare",
-                    branches=len(items))
-
-    # Round 3: all voted yes -> commit decision fan-out. The window
-    # between the prepare votes and this decision reaching a branch is
-    # the 2PC uncertainty window the paper's Figure 1b illustrates.
-    round_started = env.now
-    yield from sites[coordinator].cpu.use(coordinate, txn=txn,
-                                          track=coordinator_track)
-    commit_vvs = yield fan_out(
-        lambda site, keys, begin_vv: site.commit_branch(txn, keys, begin_vv),
-        payload=begin_vvs,
-    )
-    if traced:
-        tracer.span("2pc_decide", round_started, env.now,
-                    track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", round_started, txn=txn,
-                    track=coordinator_track, round="decide",
-                    branches=len(items))
-
-    merged = VersionVector.zeros(len(sites[0].svv))
-    for commit_vv in commit_vvs:
-        merged.merge(commit_vv)
-
-    # Coordinator -> client reply.
-    yield from system.client_hop(txn)
-    if obs.enabled:
-        obs.registry.gauge("2pc_inflight").dec()
-    return merged
-
-
-def _two_phase_commit_faulted(
-    system,
-    txn: Transaction,
-    branches: Dict[int, Tuple[Key, ...]],
-    min_begin: Optional[VersionVector],
-):
-    """Presumed-abort 2PC: the termination protocol under faults.
-
-    The coordinator's own work runs as a crash-raced process on the
-    coordinator machine; remote branches go over guarded RPCs sourced
-    at the coordinator. Any failure before the commit decision is
-    durably taken (end of round 2) terminates by *presumed abort*:
-    every branch that may hold locks is aborted, persistently until
-    the abort lands or the branch's site is dead (whose lock table died
-    with it). After the decision, commits are delivered persistently;
-    a branch whose participant crashed in the uncertainty window is
-    lost — never redone — which is the documented price of presumed
-    abort without a coordinator redo log (DESIGN.md, Fault model).
-
-    Rounds run sequentially per branch (no parallel fan-out): a failed
-    branch must stop dispatching later rounds, and sequential guarded
-    calls keep the failure handling exact. Faulted runs trade a little
-    latency for that; unfaulted runs never come through here.
+    Presumed-abort 2PC. The coordinator's own work runs at the
+    coordinator machine (crash-raced under faults); remote branches go
+    over guarded RPCs sourced at the coordinator. Any failure before
+    the commit decision is durably taken (end of the prepare round)
+    terminates by *presumed abort*: every branch that may hold locks
+    is aborted, persistently until the abort lands or the branch's
+    site is dead (whose lock table died with it), and
+    :class:`TransactionAborted` is raised. After the decision, commits
+    are delivered persistently; a branch whose participant crashed in
+    the uncertainty window is lost — never redone — which is the
+    documented price of presumed abort without a coordinator redo log
+    (DESIGN.md, Fault model). The prepare and decide rounds are
+    :func:`~repro.sites.messages.fan_out` rounds: parallel without an
+    injector, sequential under faults (a failed branch must stop
+    dispatching later ones).
     """
     env = system.env
     obs = env.obs
     tracer = obs.tracer
     traced = tracer.enabled
-    faults = system.cluster.faults
     sites = system.sites
     items = sorted(branches.items(), key=lambda item: (-len(item[1]), item[0]))
     placement = system.placement
     coordinator = placement[items[0][0]]
     coordinator_track = f"site{coordinator}" if traced else ""
     coord_site = sites[coordinator]
-    policy = RetryPolicy(faults.rpc, faults.rng)
+    policy = retry_policy(system.cluster.faults)
 
     def _round(name, started):
-        # Traced runs only: the round span + ordering edge, mirroring
-        # the unfaulted path so chaos attribution sees commit_protocol.
+        # Traced runs only: the round span + ordering edge.
         tracer.span(f"2pc_{name}", started, env.now,
                     track=coordinator_track, txn=txn, branches=len(items))
         tracer.edge("2pc_round", started, txn=txn,
                     track=coordinator_track, round=name, branches=len(items))
 
+    def _coordinate():
+        # The coordinator pays per-branch marshalling / vote-collection
+        # / decision-logging work on every round.
+        return site_process(
+            coord_site,
+            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
+        )
+
+    def _call(site_index, handler):
+        return _branch_call(system, txn, coordinator, site_index, handler)
+
+    def _prepare(site_index, keys):
+        # Bounded retries: prepare is idempotent. A dead participant
+        # fails the round (and the transaction) at once.
+        failures = 0
+        while True:
+            try:
+                return (yield from _call(
+                    site_index, sites[site_index].prepare_branch(txn, keys)
+                ))
+            except RpcTimeout:
+                failures += 1
+                if failures >= policy.attempts:
+                    raise
+                yield env.timeout(policy.backoff_ms(failures - 1))
+
+    def _commit(site_index, keys, begin_vv):
+        # Persistent: the decision is taken. A participant that died
+        # in the uncertainty window lost its branch (volatile locks,
+        # undecided writes): no vector.
+        failures = 0
+        while True:
+            try:
+                return (yield from _call(
+                    site_index, sites[site_index].commit_branch(txn, keys, begin_vv)
+                ))
+            except SiteDown:
+                return None
+            except RpcTimeout:
+                failures += 1
+                yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
+
     if obs.enabled:
         obs.registry.gauge("2pc_inflight").inc()
         obs.registry.counter("2pc_started").inc()
 
+    # Router -> coordinator dispatch.
     yield from system.client_hop(txn)
     coordinate = system.config.costs.coordinate_ms * len(items)
     #: Branches that may hold locks and need aborting on failure.
     touched: List[Tuple[int, Tuple[Key, ...]]] = []
 
-    def _call(site_index, handler):
-        """One guarded branch call (local branches are crash-raced only)."""
-        if site_index == coordinator:
-            return site_process(sites[site_index], handler)
-        return guarded_call(
-            system.network,
-            sites[site_index],
-            handler,
-            src=coordinator,
-            category="2pc",
-            txn=txn,
-        )
-
     try:
-        # Round 1: branch execution, global unit order (deadlock-free).
+        # Round 1: dispatch branch work (locks acquired, operations
+        # run). Branches are dispatched in global unit order, each
+        # waiting for the previous branch's locks: ordered resource
+        # acquisition, the classic discipline that makes distributed
+        # deadlock impossible when two multi-unit transactions overlap
+        # in opposite directions.
         round_started = env.now
-        yield from site_process(
-            coord_site,
-            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
-        )
+        yield from _coordinate()
         by_unit: Dict[int, VersionVector] = {}
         for unit, keys in sorted(items):
             site_index = placement[unit]
@@ -246,83 +166,71 @@ def _two_phase_commit_faulted(
                 raise
             touched.append((site_index, keys))
             by_unit[unit] = begin_vv
+        # Re-align begin vectors with the (size-sorted) items order
+        # used by the later rounds.
         begin_vvs = [by_unit[unit] for unit, _ in items]
         if traced:
             _round("execute", round_started)
 
-        # Round 2: prepare votes, bounded retries (prepare is idempotent).
+        # Round 2: prepare — participants force-log and vote. Locks held.
         round_started = env.now
-        yield from site_process(
-            coord_site,
-            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
-        )
-        for unit, keys in items:
-            site_index = placement[unit]
-            failures = 0
-            while True:
-                try:
-                    yield from _call(
-                        site_index, sites[site_index].prepare_branch(txn, keys)
-                    )
-                    break
-                except RpcTimeout:
-                    failures += 1
-                    if failures >= policy.attempts:
-                        raise
-                    yield env.timeout(policy.backoff_ms(failures - 1))
+        yield from _coordinate()
+        yield from fan_out(system.network, [
+            _prepare(placement[unit], keys) for unit, keys in items
+        ])
         if traced:
             _round("prepare", round_started)
     except FaultError as exc:
-        yield from _abort_branches(system, txn, touched, coordinator)
+        yield from _abort_branches(system, txn, touched, coordinator, policy)
         yield from system.client_hop(txn)
         if obs.enabled:
             obs.registry.gauge("2pc_inflight").dec()
         raise TransactionAborted(exc.reason, f"2pc presumed abort: {exc}")
 
-    # Commit point: every vote is in and the decision is (modeled as)
-    # force-logged. From here the decision is delivered persistently.
-    merged = VersionVector.zeros(len(sites[0].svv))
+    # Round 3: commit point — every vote is in and the decision is
+    # (modeled as) force-logged; from here it is delivered
+    # persistently. The window between the prepare votes and this
+    # decision reaching a branch is the 2PC uncertainty window the
+    # paper's Figure 1b illustrates.
     round_started = env.now
     try:
-        yield from site_process(
-            coord_site,
-            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
-        )
+        yield from _coordinate()
     except SiteDown:
         # Coordinator crashed after logging the decision; delivery
         # continues below (participants would learn it from the
         # recovered coordinator's log).
         pass
-    for index, (unit, keys) in enumerate(items):
-        site_index = placement[unit]
-        failures = 0
-        while True:
-            try:
-                commit_vv = yield from _call(
-                    site_index,
-                    sites[site_index].commit_branch(txn, keys, begin_vvs[index]),
-                )
-                break
-            except SiteDown:
-                # Participant died in the uncertainty window: its
-                # branch (volatile locks, undecided writes) is lost.
-                commit_vv = None
-                break
-            except RpcTimeout:
-                failures += 1
-                yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
-        if commit_vv is not None:
-            merged.merge(commit_vv)
+    commit_vvs = yield from fan_out(system.network, [
+        _commit(placement[unit], keys, begin_vv)
+        for (unit, keys), begin_vv in zip(items, begin_vvs)
+    ])
     if traced:
         _round("decide", round_started)
 
+    merged = VersionVector.zeros(len(sites[0].svv))
+    for commit_vv in commit_vvs:
+        if commit_vv is not None:
+            merged.merge(commit_vv)
+
+    # Coordinator -> client reply.
     yield from system.client_hop(txn)
     if obs.enabled:
         obs.registry.gauge("2pc_inflight").dec()
     return merged
 
 
-def _abort_branches(system, txn, touched, coordinator):
+def _branch_call(system, txn, coordinator, site_index, handler):
+    """One branch call: local branches run at the coordinator (crash-
+    raced under faults), remote ones over a guarded RPC sourced there."""
+    site = system.sites[site_index]
+    if site_index == coordinator:
+        return site_process(site, handler)
+    return guarded_call(
+        system.network, site, handler, src=coordinator, category="2pc", txn=txn
+    )
+
+
+def _abort_branches(system, txn, touched, coordinator, policy):
     """Deliver the presumed-abort decision to every touched branch.
 
     Persistent per branch: an undelivered abort would leak that
@@ -331,8 +239,6 @@ def _abort_branches(system, txn, touched, coordinator):
     site's locks died with it (abort skipped).
     """
     env = system.env
-    faults = system.cluster.faults
-    policy = RetryPolicy(faults.rpc, faults.rng)
     for site_index, keys in touched:
         failures = 0
         while True:
@@ -340,17 +246,9 @@ def _abort_branches(system, txn, touched, coordinator):
             if not site.alive:
                 break
             try:
-                if site_index == coordinator:
-                    yield from site_process(site, site.abort_branch(txn, keys))
-                else:
-                    yield from guarded_call(
-                        system.network,
-                        site,
-                        site.abort_branch(txn, keys),
-                        src=coordinator,
-                        category="2pc",
-                        txn=txn,
-                    )
+                yield from _branch_call(
+                    system, txn, coordinator, site_index, site.abort_branch(txn, keys)
+                )
                 break
             except SiteDown:
                 break
@@ -367,25 +265,14 @@ def submit_partitioned_write(system, txn: Transaction, session, min_begin):
     returning an :class:`Outcome`.
     """
     branches = group_writes_by_unit(system, txn)
-    faults = system.cluster.faults
 
     if len(branches) == 1:
         unit = next(iter(branches))
-        site_index = system.placement[unit]
+        site = system.sites[system.placement[unit]]
         yield from system.client_hop(txn)  # router -> client (site choice)
-        if faults is None:
-            tvv = yield from remote_call(
-                system.network,
-                system.sites[site_index].execute_update(txn, min_begin),
-                category="client",
-                txn=txn,
-            )
-            session.observe(tvv)
-            return Outcome(committed=True)
         # Fixed mastership has no failover: retry the unit's master a
         # bounded number of times, then abort.
-        policy = RetryPolicy(faults.rpc, faults.rng)
-        site = system.sites[site_index]
+        policy = retry_policy(system.cluster.faults)
         for attempt in range(policy.attempts):
             try:
                 tvv = yield from guarded_call(

@@ -129,6 +129,20 @@ class TestUnfaultedBitIdentity:
             assert _fingerprint(first) == _fingerprint(second)
 
 
+class TestBreakdownUnderInjector:
+    def test_empty_plan_breakdown_accounts_for_latency(self):
+        """The Fig. 7 breakdown must not depend on whether an injector
+        is installed: the router times its lock and routing phases in
+        both modes, and guarded RPCs charge their wire legs to the
+        network bucket, so almost nothing is left over as ``other``."""
+        result = _run("dynamast", fault_plan=FaultPlan())
+        phases = result.metrics.phase_totals
+        total = sum(phases.values())
+        assert phases.get("selector_lock", 0.0) > 0.0
+        assert phases.get("routing", 0.0) > 0.0
+        assert phases.get("other", 0.0) <= 0.01 * total
+
+
 class TestDeterminism:
     def test_same_seed_same_plan_same_run(self):
         plan = build_scenario("lossy", num_sites=3, duration_ms=400.0)

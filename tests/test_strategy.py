@@ -77,9 +77,9 @@ class TestBalanceFeature:
             stats.observe(float(time), 1, [0])
         stats.observe(8.0, 1, [1])
         stats.observe(9.0, 1, [2])
-        site, scores = strategy.choose_site([1, 2], fresh_vvs(2))
-        assert site == 1
-        assert scores[1].benefit > scores[0].benefit
+        decision = strategy.decide([1, 2], fresh_vvs(2))
+        assert decision.site == 1
+        assert decision.scores[1].benefit > decision.scores[0].benefit
 
 
 class TestRefreshDelayFeature:
@@ -132,10 +132,10 @@ class TestLocalizationFeatures:
         )
         for time in range(5):
             stats.observe(float(time), 1, [0, 1])
-        site, scores = strategy.choose_site([0], fresh_vvs(2))
-        assert site == 1
-        assert scores[1].intra_txn > 0.0
-        assert scores[0].intra_txn == 0.0  # leaves the pair split: no change
+        decision = strategy.decide([0], fresh_vvs(2))
+        assert decision.site == 1
+        assert decision.scores[1].intra_txn > 0.0
+        assert decision.scores[0].intra_txn == 0.0  # leaves the pair split: no change
 
     def test_inter_feature_prefers_colocating_site(self):
         strategy, stats, _ = make_strategy(
@@ -148,9 +148,9 @@ class TestLocalizationFeatures:
         for time in range(5):
             stats.observe(time * 2.0, 7, [0])
             stats.observe(time * 2.0 + 1.0, 7, [1])
-        site, scores = strategy.choose_site([0], fresh_vvs(2))
-        assert site == 1
-        assert scores[1].inter_txn > 0.0
+        decision = strategy.decide([0], fresh_vvs(2))
+        assert decision.site == 1
+        assert decision.scores[1].inter_txn > 0.0
 
 
 class TestWeights:
@@ -181,7 +181,7 @@ class TestWeights:
             ),
         )
         stats.observe(0.0, 1, [0, 1])
-        _, scores = strategy.choose_site([0], fresh_vvs(2))
+        scores = strategy.decide([0], fresh_vvs(2)).scores
         assert all(score.benefit == 0.0 for score in scores)
         assert all(score.intra_txn == 0.0 for score in scores)
 
@@ -268,13 +268,6 @@ class TestTieBreaking:
         assert decision.tied == (0, 1)
         assert decision.site == 0  # lowest of the tied pair
         assert decision.tie_break == "lowest-site"
-
-    def test_choose_site_wrapper_matches_decide(self):
-        strategy = self.tied_strategy(rng=None)
-        site, scores = strategy.choose_site([1], fresh_vvs(3))
-        decision = strategy.decide([1], fresh_vvs(3))
-        assert site == decision.site
-        assert [s.site for s in scores] == [s.site for s in decision.scores]
 
 
 class TestEquation8:
