@@ -1,6 +1,6 @@
 # Convenience targets for the DynaMast reproduction.
 
-.PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke bench-smoke clean
+.PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke bench-smoke figures-smoke clean
 
 # Worker processes for parallel-capable targets (perf, test with
 # pytest-xdist installed). 1 = classic serial behavior.
@@ -173,6 +173,12 @@ scale-smoke:
 bench-smoke:
 	python3 -m pytest perfbench -q
 	python3 perfbench/run.py --workload all --seconds 1
+
+# Two paper-figure benches that consume run_suite results (Figure 4b
+# YCSB write-heavy, Figure 8a SmallBank): proves the figure files still
+# read everything they need off the suite summaries (~70-90 s).
+figures-smoke:
+	python -m pytest benchmarks/test_fig4b_ycsb_write_heavy.py benchmarks/test_fig8a_smallbank_throughput.py --benchmark-only -q
 
 clean:
 	rm -rf .pytest_cache build *.egg-info src/*.egg-info

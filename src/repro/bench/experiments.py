@@ -11,14 +11,12 @@ contention structure each experiment depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import ALL_SYSTEMS, RunResult, run_benchmark
-from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
+from repro.bench.parallel import RunSpec, RunSummary, WorkloadSpec, execute_specs
 from repro.core.strategy import StrategyWeights
 from repro.sim.config import ClusterConfig
-from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 #: Default scales for the YCSB experiments (4 sites as in the paper).
@@ -33,42 +31,8 @@ DURATION_MS = 1200.0
 WARMUP_MS = 400.0
 
 
-#: ``run_suite``/``run_repeated`` kwargs a :class:`RunSpec` can carry
-#: across a process boundary. Anything else (live ``obs`` handles,
-#: ``events`` callbacks) forces the serial path.
-_SPEC_SAFE_KWARGS = {
-    "weights", "placement", "load_data", "streaming_metrics",
-    "fault_plan", "fault_scenario", "observed", "mastery",
-}
-
-
-def _suite_spec(system, workload, *, cluster, num_clients, duration_ms,
-                warmup_ms, seed, **kwargs) -> RunSpec:
-    """Build the RunSpec for one suite cell (parallel path only)."""
-    unsafe = set(kwargs) - _SPEC_SAFE_KWARGS
-    if unsafe:
-        raise ValueError(
-            f"jobs > 1 cannot transport {sorted(unsafe)} to a worker "
-            "process; these options hold live objects — run with jobs=1"
-        )
-    placement = kwargs.pop("placement", None)
-    if placement is not None:
-        placement = tuple(sorted(placement.items()))
-    return RunSpec(
-        system=system,
-        workload=workload,
-        num_clients=num_clients,
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        cluster=cluster,
-        seed=seed,
-        placement=placement,
-        **kwargs,
-    )
-
-
 def run_suite(
-    workload_factory: Callable,
+    workload: WorkloadSpec,
     systems: Sequence[str] = ALL_SYSTEMS,
     cluster: Optional[dict] = None,
     num_clients: int = YCSB_CLIENTS,
@@ -77,89 +41,34 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
     **kwargs,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """Run one workload against several systems (fresh workload each).
 
-    ``workload_factory`` is either a zero-argument callable returning a
-    fresh workload, or a :class:`~repro.bench.parallel.WorkloadSpec`
-    (required for ``jobs > 1``, where the workload must be rebuilt
-    inside worker processes from pure data). With ``jobs=1`` (the
-    default) runs execute serially in-process on the exact pre-parallel
-    code path and return live :class:`RunResult` objects; with
-    ``jobs > 1`` the systems fan out across worker processes and the
-    returned values are portable :class:`~repro.bench.parallel.
-    RunSummary` objects with bit-identical simulated results (pinned by
-    ``tests/test_parallel_parity.py``).
+    Builds one :class:`~repro.bench.parallel.RunSpec` per system and
+    executes them with :func:`~repro.bench.parallel.execute_specs`:
+    in-process and in order at ``jobs=1``, across worker processes
+    otherwise, with bit-identical simulated results either way (pinned
+    by ``tests/test_parallel_parity.py``). Extra kwargs are ``RunSpec``
+    fields (``weights``, ``fault_scenario``, ``observed``, ...).
+    Returns portable :class:`~repro.bench.parallel.RunSummary` objects
+    keyed by system; a failing run raises
+    :class:`~repro.bench.parallel.SpecExecutionError` once the others
+    have finished.
     """
-    spec = workload_factory if isinstance(workload_factory, WorkloadSpec) else None
-    if jobs > 1:
-        if spec is None:
-            raise ValueError(
-                "run_suite(jobs > 1) needs a WorkloadSpec (a picklable "
-                "name + params description), not a workload factory "
-                "callable — see CONTRIBUTING.md, 'Spawn safety'"
-            )
-        specs = [
-            _suite_spec(
-                system, spec,
-                cluster=ClusterConfig(**(cluster or YCSB_CLUSTER)),
-                num_clients=num_clients, duration_ms=duration_ms,
-                warmup_ms=warmup_ms, seed=seed, **kwargs,
-            )
-            for system in systems
-        ]
-        return dict(zip(systems, execute_specs(specs, jobs=jobs)))
-    factory = spec.build if spec is not None else workload_factory
-    kwargs = _resolve_serial_kwargs(kwargs, cluster, duration_ms)
-    observed = kwargs.pop("observed", False)
-    mastery = kwargs.pop("mastery", False)
-    results = {}
-    for system in systems:
-        config = ClusterConfig(**(cluster or YCSB_CLUSTER))
-        if observed:
-            # Fresh handle per run, exactly as each worker builds its
-            # own in the parallel path.
-            from repro.obs import Observability
-
-            kwargs["obs"] = Observability()
-        if mastery:
-            from repro.obs.mastery import DecisionLedger
-
-            kwargs["ledger"] = DecisionLedger()
-        results[system] = run_benchmark(
-            system,
-            factory(),
+    specs = [
+        RunSpec(
+            system=system,
+            workload=workload,
             num_clients=num_clients,
             duration_ms=duration_ms,
             warmup_ms=warmup_ms,
-            cluster_config=config,
+            cluster=ClusterConfig(**(cluster or YCSB_CLUSTER)),
             seed=seed,
             **kwargs,
         )
-    return results
-
-
-def _resolve_serial_kwargs(kwargs: Dict, cluster: Optional[dict],
-                           duration_ms: float) -> Dict:
-    """Resolve spec-level conveniences for the serial path.
-
-    The parallel path resolves ``fault_scenario`` and ``observed``
-    worker-side (the RunSpec carries them as data); the serial path
-    performs the same resolution here so the two paths stay
-    bit-identical. Plain ``run_benchmark`` kwargs pass through.
-    """
-    resolved = dict(kwargs)
-    scenario = resolved.pop("fault_scenario", None)
-    if scenario is not None:
-        if resolved.get("fault_plan") is not None:
-            raise ValueError("pass either fault_plan or fault_scenario, not both")
-        from repro.faults.plan import build_scenario
-
-        config = ClusterConfig(**(cluster or YCSB_CLUSTER))
-        resolved["fault_plan"] = build_scenario(
-            scenario, num_sites=config.num_sites, duration_ms=duration_ms,
-        )
-    return resolved
+        for system in systems
+    ]
+    return dict(zip(systems, execute_specs(specs, jobs=jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +79,12 @@ def _resolve_serial_kwargs(kwargs: Dict, cluster: Optional[dict],
 def fig4a_ycsb_uniform(
     client_counts: Sequence[int] = (12, 24, 48),
     systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, Dict[int, RunResult]]:
+) -> Dict[str, Dict[int, RunSummary]]:
     """Figure 4a: uniform YCSB, 50/50 RMW/scan, throughput vs clients."""
-    results: Dict[str, Dict[int, RunResult]] = {s: {} for s in systems}
+    results: Dict[str, Dict[int, RunSummary]] = {s: {} for s in systems}
     for clients in client_counts:
         suite = run_suite(
-            lambda: YCSBWorkload(YCSBConfig(rmw_fraction=0.5)),
+            WorkloadSpec.of("ycsb", rmw_fraction=0.5),
             systems=systems,
             num_clients=clients,
         )
@@ -186,11 +95,9 @@ def fig4a_ycsb_uniform(
 
 def fig4b_ycsb_write_heavy(
     systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """Figure 4b: uniform YCSB, 90/10 RMW/scan."""
-    return run_suite(
-        lambda: YCSBWorkload(YCSBConfig(rmw_fraction=0.9)), systems=systems
-    )
+    return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9), systems=systems)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +111,13 @@ def tpcc_default_suite(
     payment_remote: float = 0.15,
     num_clients: int = TPCC_CLIENTS,
     duration_ms: float = DURATION_MS,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """The default-mix TPC-C run shared by figures 4c, 4d and 8e-8g."""
     return run_suite(
-        lambda: TPCCWorkload(
-            TPCCConfig(
-                neworder_remote_fraction=neworder_remote,
-                payment_remote_fraction=payment_remote,
-            )
+        WorkloadSpec.of(
+            "tpcc",
+            neworder_remote_fraction=neworder_remote,
+            payment_remote_fraction=payment_remote,
         ),
         systems=systems,
         cluster=TPCC_CLUSTER,
@@ -228,18 +134,17 @@ def tpcc_default_suite(
 def fig4e_neworder_mix(
     neworder_fractions: Sequence[float] = (0.45, 0.90),
     systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, Dict[float, RunResult]]:
+) -> Dict[str, Dict[float, RunSummary]]:
     """Figure 4e: shift the mix toward New-Order transactions."""
-    results: Dict[str, Dict[float, RunResult]] = {s: {} for s in systems}
+    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in systems}
     for fraction in neworder_fractions:
         remainder = 1.0 - fraction
         suite = run_suite(
-            lambda f=fraction, r=remainder: TPCCWorkload(
-                TPCCConfig(
-                    neworder_weight=f,
-                    payment_weight=r / 2,
-                    stocklevel_weight=r / 2,
-                )
+            WorkloadSpec.of(
+                "tpcc",
+                neworder_weight=fraction,
+                payment_weight=remainder / 2,
+                stocklevel_weight=remainder / 2,
             ),
             systems=systems,
             cluster=TPCC_CLUSTER,
@@ -260,16 +165,16 @@ def cross_warehouse_sweep(
     remote_fractions: Sequence[float] = (0.0, 0.10, 0.33),
     systems: Sequence[str] = ("dynamast", "single-master", "multi-master", "partition-store"),
     transaction: str = "new_order",
-) -> Dict[str, Dict[float, RunResult]]:
+) -> Dict[str, Dict[float, RunSummary]]:
     """New-Order (or Payment, figure 8g) latency as remote rate grows."""
-    results: Dict[str, Dict[float, RunResult]] = {s: {} for s in systems}
+    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in systems}
     for fraction in remote_fractions:
         if transaction == "new_order":
-            config = TPCCConfig(neworder_remote_fraction=fraction)
+            workload = WorkloadSpec.of("tpcc", neworder_remote_fraction=fraction)
         else:
-            config = TPCCConfig(payment_remote_fraction=fraction)
+            workload = WorkloadSpec.of("tpcc", payment_remote_fraction=fraction)
         suite = run_suite(
-            lambda c=config: TPCCWorkload(c),
+            workload,
             systems=systems,
             cluster=TPCC_CLUSTER,
             num_clients=TPCC_CLIENTS,
@@ -285,10 +190,10 @@ def cross_warehouse_sweep(
 # ---------------------------------------------------------------------------
 
 
-def skew_suite(systems: Sequence[str] = ALL_SYSTEMS) -> Dict[str, RunResult]:
+def skew_suite(systems: Sequence[str] = ALL_SYSTEMS) -> Dict[str, RunSummary]:
     """Zipfian (theta = 0.75) 90/10 RMW/scan YCSB."""
     return run_suite(
-        lambda: YCSBWorkload(YCSBConfig(rmw_fraction=0.9, zipf_theta=0.75)),
+        WorkloadSpec.of("ycsb", rmw_fraction=0.9, zipf_theta=0.75),
         systems=systems,
     )
 
@@ -527,12 +432,10 @@ def fig6c_site_scaling(
 def smallbank_suite(
     systems: Sequence[str] = ALL_SYSTEMS,
     hotspot_fraction: float = 0.0,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """SmallBank throughput and tail latencies."""
     return run_suite(
-        lambda: SmallBankWorkload(
-            SmallBankConfig(hotspot_fraction=hotspot_fraction)
-        ),
+        WorkloadSpec.of("smallbank", hotspot_fraction=hotspot_fraction),
         systems=systems,
         num_clients=YCSB_CLIENTS,
         duration_ms=1500.0,

@@ -34,8 +34,8 @@ Three pieces:
 The executor is generic over (picklable) callables; the spec-level
 entry points :func:`execute_spec` (in-process, live result) and
 :func:`execute_specs` (the fan-out used by ``run_suite``,
-``run_repeated``, ``repro perf --jobs`` and ``repro chaos --jobs``)
-are built on top of it.
+``run_repeated``, ``repro compare``, ``repro perf --jobs`` and
+``repro chaos --jobs``) are built on top of it.
 """
 
 from __future__ import annotations
@@ -342,15 +342,10 @@ def summarize(result) -> RunSummary:
     ledger = getattr(result, "ledger", None)
     if ledger is not None and ledger.enabled:
         mastery = ledger.summary()
-    elif getattr(result, "mastery", None):
-        mastery = dict(result.mastery)  # re-summarizing a RunSummary
     slo_verdict: Dict[str, float] = {}
     slo = getattr(result, "slo", None)
-    if slo is not None:
-        if getattr(slo, "enabled", False):
-            slo_verdict = slo.summary()
-        elif isinstance(slo, dict):
-            slo_verdict = dict(slo)  # re-summarizing a RunSummary
+    if slo is not None and slo.enabled:
+        slo_verdict = slo.summary()
     return RunSummary(
         system_name=result.system_name,
         workload_name=result.workload_name,
@@ -503,7 +498,8 @@ def execute_specs(
     """Execute ``specs`` and return portable summaries in spec order.
 
     The workhorse behind every ``--jobs`` flag: ``run_suite``,
-    ``run_repeated``, the perf matrix, and chaos fan-out all reduce
-    their work to a spec list and call this.
+    ``run_repeated`` and ``repro compare`` (at every ``jobs`` value),
+    the perf matrix, and chaos fan-out all reduce their work to a spec
+    list and call this.
     """
     return ParallelExecutor(jobs).map(_spec_worker, specs, on_error=on_error)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
-from repro.bench.harness import RunResult, run_benchmark
-from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
-from repro.sim.config import ClusterConfig
+from repro.bench.parallel import RunSpec, RunSummary, WorkloadSpec, execute_specs
 
 #: Two-sided 95% critical values of Student's t for df = 1..29.
 _T95 = [
@@ -78,59 +76,32 @@ class RepeatedResult:
     throughput: Estimate
     mean_latency: Estimate
     p99_latency: Estimate
-    runs: List[RunResult]
+    runs: List[RunSummary]
 
 
 def run_repeated(
     system_name: str,
-    workload_factory: Callable,
+    workload: WorkloadSpec,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     jobs: int = 1,
     **kwargs,
 ) -> RepeatedResult:
     """Run one configuration across several seeds and summarize.
 
-    ``workload_factory`` must build a *fresh* workload per call (the
-    generators keep mutable state); it may also be a
-    :class:`~repro.bench.parallel.WorkloadSpec`, which is required for
-    ``jobs > 1`` where each seed's run executes in a worker process
-    and comes back as a portable :class:`~repro.bench.parallel.
-    RunSummary`. Seed order is preserved either way, and parallel
-    results are bit-identical to serial ones (the simulation is a pure
-    function of the spec). Remaining kwargs are passed to
-    :func:`repro.bench.harness.run_benchmark`.
+    Builds one :class:`~repro.bench.parallel.RunSpec` per seed (each
+    run builds a fresh workload from ``workload``) and executes them
+    with :func:`~repro.bench.parallel.execute_specs`: in-process at
+    ``jobs=1``, across worker processes otherwise, with bit-identical
+    results and seed order preserved either way. Remaining kwargs are
+    ``RunSpec`` fields (``num_clients``, ``cluster``,
+    ``fault_scenario``, ``observed``, ...); ``runs`` holds the portable
+    :class:`~repro.bench.parallel.RunSummary` of each seed.
     """
-    spec = workload_factory if isinstance(workload_factory, WorkloadSpec) else None
-    if jobs > 1:
-        if spec is None:
-            raise ValueError(
-                "run_repeated(jobs > 1) needs a WorkloadSpec, not a "
-                "workload factory callable — see CONTRIBUTING.md, "
-                "'Spawn safety'"
-            )
-        supported = {"num_clients", "duration_ms", "warmup_ms",
-                     "cluster_config", "weights", "load_data",
-                     "streaming_metrics", "fault_plan"}
-        unsafe = set(kwargs) - supported
-        if unsafe:
-            raise ValueError(
-                f"jobs > 1 cannot transport {sorted(unsafe)} to a worker "
-                "process — run with jobs=1"
-            )
-        base = dict(kwargs)
-        cluster = base.pop("cluster_config", None) or ClusterConfig()
-        specs = [
-            RunSpec(system=system_name, workload=spec, seed=seed,
-                    cluster=cluster, **base)
-            for seed in seeds
-        ]
-        runs = execute_specs(specs, jobs=jobs)
-    else:
-        factory = spec.build if spec is not None else workload_factory
-        runs = [
-            run_benchmark(system_name, factory(), seed=seed, **kwargs)
-            for seed in seeds
-        ]
+    specs = [
+        RunSpec(system=system_name, workload=workload, seed=seed, **kwargs)
+        for seed in seeds
+    ]
+    runs = execute_specs(specs, jobs=jobs)
     return RepeatedResult(
         throughput=Estimate.of([run.throughput for run in runs]),
         mean_latency=Estimate.of([run.latency().mean for run in runs]),

@@ -43,14 +43,6 @@ from repro.bench import print_table, run_benchmark
 from repro.bench.harness import ALL_SYSTEMS
 from repro.bench.report import print_run_report
 from repro.sim.config import ClusterConfig
-from repro.workloads import (
-    SmallBankWorkload,
-    TPCCConfig,
-    TPCCWorkload,
-    YCSBConfig,
-    YCSBWorkload,
-)
-from repro.workloads.smallbank import SmallBankConfig
 
 WORKLOADS = ("ycsb", "tpcc", "smallbank")
 
@@ -353,37 +345,29 @@ def cmd_masters(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    systems = args.systems.split(",") if args.systems else list(ALL_SYSTEMS)
-    rows = []
-    results = {}
-    if args.jobs > 1:
-        from repro.bench.parallel import RunSpec, SpecExecutionError, execute_specs
+    from repro.bench.parallel import RunSpec, SpecExecutionError, execute_specs
 
-        specs = [
-            RunSpec(
-                system=system,
-                workload=make_workload_spec(args.workload, args),
-                num_clients=args.clients,
-                duration_ms=args.duration,
-                warmup_ms=args.duration / 4,
-                cluster=ClusterConfig(
-                    num_sites=args.sites, cores_per_site=args.cores
-                ),
-                seed=args.seed,
-            )
-            for system in systems
-        ]
-        try:
-            results = dict(zip(systems, execute_specs(specs, jobs=args.jobs)))
-        except SpecExecutionError as exc:
-            print(f"repro compare: error: {exc}", file=sys.stderr)
-            return 2
-        print(f"ran {len(results)} systems across {args.jobs} workers",
-              file=sys.stderr)
-    else:
-        for system in systems:
-            results[system] = run_one(system, args)
-            print(f"ran {system}", file=sys.stderr)
+    systems = args.systems.split(",") if args.systems else list(ALL_SYSTEMS)
+    specs = [
+        RunSpec(
+            system=system,
+            workload=make_workload_spec(args.workload, args),
+            num_clients=args.clients,
+            duration_ms=args.duration,
+            warmup_ms=args.duration / 4,
+            cluster=ClusterConfig(num_sites=args.sites, cores_per_site=args.cores),
+            seed=args.seed,
+        )
+        for system in systems
+    ]
+    try:
+        results = dict(zip(systems, execute_specs(specs, jobs=args.jobs)))
+    except SpecExecutionError as exc:
+        print(f"repro compare: error: {exc}", file=sys.stderr)
+        return 2
+    print(f"ran {len(results)} systems across {args.jobs} workers",
+          file=sys.stderr)
+    rows = []
     for system, result in results.items():
         combined = result.latency()
         rows.append([

@@ -151,10 +151,7 @@ class SiteSelector:
                                 txn=txn, track="selector")
         for partition in partitions:
             yield self.table.info(partition).lock.acquire_read()
-        txn.add_timing("selector_lock", env._now - route_started)
-        if traced:
-            tracer.span("selector_lock", route_started, env._now,
-                        track="selector", txn=txn)
+        tracer.phase(txn, "selector_lock", route_started, env._now, "selector")
         self.statistics.observe(env._now, txn.client_id, partitions)
 
         masters = self.table.masters_of(partitions)
@@ -213,11 +210,8 @@ class SiteSelector:
                       **span_args) -> None:
         """Charge the exclusive-lock decision phase to ``routing``."""
         env = self.env
-        txn.add_timing("routing", env._now - decision_started)
-        tracer = env.obs.tracer
-        if tracer.enabled:
-            tracer.span("routing", decision_started, env._now,
-                        track="selector", txn=txn, **span_args)
+        env.obs.tracer.phase(txn, "routing", decision_started, env._now,
+                             "selector", **span_args)
 
     def _routed(self, txn, route_started, site, min_vv, partitions, moved, token):
         """Close out one routing: trace and ledger it, build the result."""

@@ -153,6 +153,17 @@ class NullTracer:
              track: str = "", txn=None, **args) -> None:
         pass
 
+    def phase(self, txn, name: str, start: float, end: float,
+              track: str = "", **args) -> None:
+        """Charge ``end - start`` to ``txn``'s breakdown bucket ``name``.
+
+        The one call protocol code makes per timed phase: the latency
+        breakdown (Figure 7) is always charged, and a recording tracer
+        also emits the same interval as a span, so the two cannot
+        drift apart.
+        """
+        txn.add_timing(name, end - start)
+
     def instant(self, name: str, ts: float, *,
                 track: str = "", txn=None, **args) -> None:
         pass
@@ -176,6 +187,9 @@ class Tracer(NullTracer):
         self.instants: List[InstantRecord] = []
         self.edges: List[EdgeRecord] = []
         self.txns: Dict[int, TxnRecord] = {}
+        #: Per-txn indexes over the append-only ``spans``/``edges``
+        #: lists: attribute name -> (records indexed, index).
+        self._indexes: Dict[str, Tuple[int, Dict[Any, list]]] = {}
 
     # -- hooks (called from instrumented protocol code) ---------------------
 
@@ -209,6 +223,11 @@ class Tracer(NullTracer):
             tuple(sorted(args.items())),
         ))
 
+    def phase(self, txn, name: str, start: float, end: float,
+              track: str = "", **args) -> None:
+        txn.add_timing(name, end - start)
+        self.span(name, start, end, track=track, txn=txn, **args)
+
     def instant(self, name: str, ts: float, *,
                 track: str = "", txn=None, **args) -> None:
         self.instants.append(InstantRecord(
@@ -229,15 +248,29 @@ class Tracer(NullTracer):
 
     def edges_of(self, txn_id: int) -> List[EdgeRecord]:
         """All causal edges of one transaction, in timestamp order."""
-        mine = [e for e in self.edges if e.txn_id == txn_id]
+        mine = list(self._by_txn("edges").get(txn_id, ()))
         mine.sort(key=lambda e: (e.ts, e.kind))
         return mine
+
+    def _by_txn(self, attr: str) -> Dict[Any, list]:
+        """The ``attr`` records grouped by txn id, in record order.
+
+        Built on first query and extended with any records appended
+        since, so per-transaction queries over a finished run cost
+        O(own records) instead of a scan of the whole run.
+        """
+        records = getattr(self, attr)
+        indexed, index = self._indexes.get(attr, (0, {}))
+        for record in records[indexed:]:
+            index.setdefault(record.txn_id, []).append(record)
+        self._indexes[attr] = (len(records), index)
+        return index
 
     # -- reconstruction ------------------------------------------------------
 
     def spans_of(self, txn_id: int) -> List[SpanRecord]:
         """All spans of one transaction, in start order."""
-        mine = [s for s in self.spans if s.txn_id == txn_id]
+        mine = list(self._by_txn("spans").get(txn_id, ()))
         mine.sort(key=lambda s: (s.start, -s.end))
         return mine
 

@@ -224,22 +224,16 @@ class DataSite:
             if traced:
                 self._refresh_edge(tracer, txn, track, min_begin)
             yield self.watch.wait_for(min_begin)
-        txn.add_timing("freshness_wait", env._now - started)
-        if traced:
-            tracer.span("freshness_wait", started, env._now, track=track, txn=txn)
+        tracer.phase(txn, "freshness_wait", started, env._now, track)
 
         lock_started = env._now
         yield from self.database.locks.acquire_all(txn.write_set, txn)
-        txn.add_timing("lock_wait", env._now - lock_started)
-        if traced:
-            tracer.span("lock_wait", lock_started, env._now, track=track, txn=txn)
+        tracer.phase(txn, "lock_wait", lock_started, env._now, track)
         try:
             begin_started = env._now
             yield from self.cpu.use(costs.txn_begin_ms, txn=txn, track=track)
             begin_vv = self.svv.copy()
-            txn.add_timing("begin", env._now - begin_started)
-            if traced:
-                tracer.span("begin", begin_started, env._now, track=track, txn=txn)
+            tracer.phase(txn, "begin", begin_started, env._now, track)
 
             execute_started = env._now
             service = costs.execution_ms(
@@ -248,16 +242,12 @@ class DataSite:
             yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
             for key in txn.read_set:
                 self.database.read(key, begin_vv)
-            txn.add_timing("execute", env._now - execute_started)
-            if traced:
-                tracer.span("execute", execute_started, env._now, track=track, txn=txn)
+            tracer.phase(txn, "execute", execute_started, env._now, track)
 
             commit_started = env._now
             yield from self.cpu.use(costs.txn_commit_ms, txn=txn, track=track)
             tvv = self._commit(txn, begin_vv)
-            txn.add_timing("commit", env._now - commit_started)
-            if traced:
-                tracer.span("commit", commit_started, env._now, track=track, txn=txn)
+            tracer.phase(txn, "commit", commit_started, env._now, track)
         finally:
             self.database.locks.release_all(txn.write_set)
             if partitions:
@@ -315,9 +305,7 @@ class DataSite:
             if traced:
                 self._refresh_edge(tracer, txn, track, min_begin)
             yield self.watch.wait_for(min_begin)
-        txn.add_timing("freshness_wait", env._now - started)
-        if traced:
-            tracer.span("freshness_wait", started, env._now, track=track, txn=txn)
+        tracer.phase(txn, "freshness_wait", started, env._now, track)
 
         read_keys = txn.read_set if keys is None else keys
         scan_keys = txn.scan_set if scans is None else scans
@@ -328,9 +316,7 @@ class DataSite:
         yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
         for key in read_keys:
             self.database.read(key, begin_vv)
-        txn.add_timing("execute", env._now - execute_started)
-        if traced:
-            tracer.span("execute", execute_started, env._now, track=track, txn=txn)
+        tracer.phase(txn, "execute", execute_started, env._now, track)
         self.read_txns += 1
         return begin_vv
 
@@ -468,9 +454,7 @@ class DataSite:
             if traced:
                 self._refresh_edge(tracer, txn, track, min_begin)
             yield self.watch.wait_for(min_begin)
-        txn.add_timing("freshness_wait", self.env._now - started)
-        if traced:
-            tracer.span("freshness_wait", started, self.env._now, track=track, txn=txn)
+        tracer.phase(txn, "freshness_wait", started, self.env._now, track)
         lock_started = self.env._now
         yield from self.database.locks.acquire_all(keys, txn)
         if self.network.faults is not None and txn.txn_id in self._branch_aborted:
@@ -482,9 +466,7 @@ class DataSite:
                 REASON_TIMEOUT, f"branch of {txn.txn_id} aborted before execution"
             )
         self._branch_locked.add((txn.txn_id, keys))
-        txn.add_timing("lock_wait", self.env._now - lock_started)
-        if traced:
-            tracer.span("lock_wait", lock_started, self.env._now, track=track, txn=txn)
+        tracer.phase(txn, "lock_wait", lock_started, self.env._now, track)
         execute_started = self.env._now
         yield from self.cpu.use(costs.txn_begin_ms, txn=txn, track=track)
         begin_vv = self.svv.copy()

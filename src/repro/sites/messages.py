@@ -49,21 +49,19 @@ def remote_call(
     request_delay = network.delay_for(request_size)
     network.account(category, request_size)
     request_started = env._now
-    traced = tracer.enabled
     yield env.timeout(request_delay)
-    if txn is not None and traced:
-        tracer.span("network", request_started, env.now,
-                    track="net", txn=txn, category=category)
+    if txn is not None:
+        tracer.phase(txn, "network", request_started, env._now, "net",
+                     category=category)
     result = yield from handler
     response_delay = network.delay_for(response_size)
     network.account(category, response_size)
     response_started = env.now
     yield env.timeout(response_delay)
     if txn is not None:
-        txn.add_timing("network", request_delay + response_delay)
-        if traced:
-            tracer.span("network", response_started, env.now,
-                        track="net", txn=txn, category=category)
+        tracer.phase(txn, "network", response_started, env._now, "net",
+                     category=category)
+        if tracer.enabled:
             tracer.edge("rpc", request_started, txn=txn, track="net",
                         category=category, outcome="ok",
                         rtt=env.now - request_started)
@@ -199,10 +197,8 @@ def _guarded(network, site, handler, src, request_size, response_size,
         leg_started = env.now
         yield env.timeout(delay)
         if txn is not None:
-            txn.add_timing("network", delay)
-            if traced:
-                tracer.span("network", leg_started, env.now,
-                            track="net", txn=txn, category=category)
+            tracer.phase(txn, "network", leg_started, env._now, "net",
+                         category=category)
 
     def _timed_out(dispatched):
         remaining = budget - (env.now - started)

@@ -185,8 +185,10 @@ class LEAP(System):
                 # The data transfer to the execution site, then installation.
                 delay = network.delay_for(payload)
                 network.traffic.record("ship", payload)
+                shipped = self.env._now
                 yield self.env.timeout(delay)
-                txn.add_timing("network", delay)
+                self.obs.tracer.phase(txn, "network", shipped, self.env._now,
+                                      "net", category="ship")
                 install = self.sites[destination].install_shipment(group)
                 if network.faults is None:
                     yield from install

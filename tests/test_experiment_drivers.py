@@ -5,21 +5,17 @@ only verify the drivers' plumbing (argument handling, result shapes) at
 a few milliseconds of simulated time.
 """
 
-import pytest
-
+import repro.workloads
 from repro.bench.experiments import run_suite
-from repro.workloads import SmallBankWorkload, YCSBConfig, YCSBWorkload
-from repro.workloads.smallbank import SmallBankConfig
+from repro.bench.parallel import WorkloadSpec
 
-
-def tiny_ycsb():
-    return YCSBWorkload(YCSBConfig(num_partitions=40, affinity_txns=30))
+TINY_YCSB = WorkloadSpec.of("ycsb", num_partitions=40, affinity_txns=30)
 
 
 class TestRunSuite:
     def test_runs_requested_systems(self):
         results = run_suite(
-            tiny_ycsb,
+            TINY_YCSB,
             systems=("dynamast", "partition-store"),
             cluster=dict(num_sites=2, cores_per_site=2),
             num_clients=4,
@@ -30,29 +26,33 @@ class TestRunSuite:
         for result in results.values():
             assert result.metrics.commits > 0
 
-    def test_fresh_workload_per_system(self):
+    def test_fresh_workload_per_system(self, monkeypatch):
         """Each system must get its own workload instance (generators
-        hold mutable state); the factory is called once per system."""
-        calls = []
+        hold mutable state); the spec is built once per system."""
+        built = []
+        build_workload = repro.workloads.build_workload
 
-        def factory():
-            calls.append(1)
-            return tiny_ycsb()
+        def counting_build(name, **params):
+            workload = build_workload(name, **params)
+            built.append(workload)
+            return workload
 
+        monkeypatch.setattr(repro.workloads, "build_workload", counting_build)
         run_suite(
-            factory,
+            TINY_YCSB,
             systems=("dynamast", "single-master"),
             cluster=dict(num_sites=2, cores_per_site=2),
             num_clients=2,
             duration_ms=100.0,
             warmup_ms=0.0,
         )
-        assert len(calls) == 2
+        assert len(built) == 2
+        assert built[0] is not built[1]
 
     def test_seed_passthrough(self):
         def run(seed):
             results = run_suite(
-                tiny_ycsb,
+                TINY_YCSB,
                 systems=("dynamast",),
                 cluster=dict(num_sites=2, cores_per_site=2),
                 num_clients=3,
@@ -67,7 +67,7 @@ class TestRunSuite:
 
     def test_smallbank_suite_shape(self):
         results = run_suite(
-            lambda: SmallBankWorkload(SmallBankConfig(users=500)),
+            WorkloadSpec.of("smallbank", users=500),
             systems=("dynamast",),
             cluster=dict(num_sites=2, cores_per_site=2),
             num_clients=4,

@@ -6,11 +6,13 @@ import pytest
 
 from repro.bench import Metrics, run_benchmark
 from repro.bench.export import run_to_row
+from repro.bench.harness import ALL_SYSTEMS
 from repro.bench.report import print_run_report
+from repro.faults.plan import FaultPlan
 from repro.obs import Observability, reconcile_with_metrics, to_chrome_trace, to_jsonl
 from repro.sim.config import ClusterConfig
 from repro.transactions import Outcome, Transaction
-from repro.workloads import YCSBConfig, YCSBWorkload
+from repro.workloads import YCSBConfig, YCSBWorkload, build_workload
 
 
 def small_workload():
@@ -146,6 +148,35 @@ class TestTracedRun:
         summary = result.latency()
         assert summary.count == result.metrics.commits
         assert summary.p50 <= summary.p99 <= summary.maximum
+
+
+class TestBreakdownReconciliation:
+    """Every phase charged to the latency breakdown has a matching span.
+
+    ``other`` is excluded: it is derived as latency minus accounted
+    time, and systems with parallel branches (partition-store, LEAP on
+    TPC-C) count those branches additively on one side only.
+    """
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["no-plan", "empty-plan"])
+    @pytest.mark.parametrize("workload", ["ycsb", "tpcc"])
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    def test_phases_reconcile(self, system, workload, faulted):
+        obs = Observability()
+        result = run_benchmark(
+            system,
+            build_workload(workload),
+            num_clients=6,
+            duration_ms=300.0,
+            warmup_ms=75.0,
+            cluster_config=ClusterConfig(num_sites=3),
+            seed=7,
+            obs=obs,
+            fault_plan=FaultPlan() if faulted else None,
+        )
+        for row in reconcile_with_metrics(obs.tracer, result.metrics):
+            if row["phase"] != "other" and row["metrics_ms"] > 0:
+                assert row["delta"] <= 0.01, row
 
 
 class TestAbortAccounting:

@@ -28,6 +28,44 @@ class TestNullTracer:
         assert Tracer().enabled
 
 
+class TestPhase:
+    def test_null_tracer_charges_breakdown_only(self):
+        txn = make_txn()
+        NULL_TRACER.phase(txn, "network", 1.0, 1.5, "net", category="client")
+        NULL_TRACER.phase(txn, "network", 2.0, 2.25, "net")
+        assert txn.timings == {"network": 0.75}
+
+    def test_tracer_charges_breakdown_and_records_span(self):
+        tracer = Tracer()
+        txn = make_txn()
+        tracer.phase(txn, "lock_wait", 3.0, 5.0, "site1", holder=4)
+        assert txn.timings == {"lock_wait": 2.0}
+        (span,) = tracer.spans
+        assert (span.name, span.start, span.end, span.track, span.txn_id) == \
+            ("lock_wait", 3.0, 5.0, "site1", txn.txn_id)
+        assert dict(span.args) == {"holder": 4}
+
+
+class TestPerTxnQueries:
+    def test_records_appended_after_a_query_are_found(self):
+        tracer = Tracer()
+        first, second = make_txn(), make_txn()
+        tracer.span("a", 0.0, 1.0, txn=first)
+        tracer.edge("rpc", 0.5, txn=first)
+        assert [s.name for s in tracer.spans_of(first.txn_id)] == ["a"]
+        assert tracer.spans_of(second.txn_id) == []
+        assert len(tracer.edges_of(first.txn_id)) == 1
+        tracer.span("b", 0.5, 0.8, txn=first)
+        tracer.span("c", 2.0, 3.0, txn=second)
+        tracer.edge("lock_wait", 0.1, txn=first)
+        tracer.edge("rpc", 2.5, txn=second)
+        assert [s.name for s in tracer.spans_of(first.txn_id)] == ["a", "b"]
+        assert [s.name for s in tracer.spans_of(second.txn_id)] == ["c"]
+        assert [e.kind for e in tracer.edges_of(first.txn_id)] == \
+            ["lock_wait", "rpc"]
+        assert [e.ts for e in tracer.edges_of(second.txn_id)] == [2.5]
+
+
 class TestTxnRecords:
     def test_begin_end_roundtrip(self):
         tracer = Tracer()

@@ -17,6 +17,7 @@ from repro.bench.perf import PerfCase, run_matrix
 from repro.bench.repeat import run_repeated
 from repro.bench.experiments import run_suite
 from repro.faults.chaos import run_chaos, run_chaos_matrix
+from repro.obs.mastery import DecisionLedger
 from repro.sim.config import ClusterConfig
 
 SYSTEMS = ("dynamast", "single-master")
@@ -71,12 +72,18 @@ class TestRunSuiteParity:
         serial = run_suite(spec, jobs=1, mastery=True, **kwargs)
         parallel = run_suite(spec, jobs=2, mastery=True, **kwargs)
         for system in SYSTEMS:
-            live, summary = serial[system], parallel[system]
+            live = run_benchmark(
+                system, spec.build(), cluster_config=ClusterConfig(**CLUSTER),
+                seed=3, ledger=DecisionLedger(), **TINY,
+            )
+            summary = parallel[system]
             # Passive recorder: mastering-observed == unobserved.
             assert summary.fingerprint == run_fingerprint(plain[system])
             assert summary.fingerprint == run_fingerprint(live)
+            assert serial[system].fingerprint == summary.fingerprint
             # The folded scalars match the live ledger's summary.
             assert summary.mastery == live.ledger.summary()
+            assert serial[system].mastery == summary.mastery
             assert summary.mastery["updates_routed"] > 0
 
     def test_faulted_suite_parity(self):
@@ -89,16 +96,15 @@ class TestRunSuiteParity:
             run_fingerprint(serial["dynamast"])
         assert parallel["dynamast"].fault_events  # the crash happened
 
-    def test_factory_callable_requires_serial(self):
-        with pytest.raises(ValueError, match="Spawn safety"):
-            run_suite(lambda: None, systems=("dynamast",), jobs=2)
+    def test_unknown_option_is_rejected_by_the_spec(self):
+        with pytest.raises(TypeError, match="obs"):
+            run_suite(tiny_workload_spec(), systems=("dynamast",), obs=object())
 
 
 class TestRunRepeatedParity:
     def test_parallel_matches_serial_across_seeds(self):
         spec = tiny_workload_spec()
-        kwargs = dict(seeds=(1, 2), cluster_config=ClusterConfig(**CLUSTER),
-                      **TINY)
+        kwargs = dict(seeds=(1, 2), cluster=ClusterConfig(**CLUSTER), **TINY)
         serial = run_repeated("dynamast", spec, jobs=1, **kwargs)
         parallel = run_repeated("dynamast", spec, jobs=2, **kwargs)
         for live, summary in zip(serial.runs, parallel.runs):
@@ -107,9 +113,27 @@ class TestRunRepeatedParity:
         assert parallel.mean_latency == serial.mean_latency
         assert parallel.p99_latency == serial.p99_latency
 
-    def test_factory_callable_requires_serial(self):
-        with pytest.raises(ValueError, match="Spawn safety"):
-            run_repeated("dynamast", lambda: None, jobs=2)
+    @pytest.mark.parametrize("option", [
+        dict(fault_scenario="crash"), dict(observed=True), dict(mastery=True),
+    ], ids=["fault_scenario", "observed", "mastery"])
+    def test_spec_options_run_identically_at_every_jobs(self, option):
+        spec = tiny_workload_spec()
+        kwargs = dict(seeds=(1, 2), cluster=ClusterConfig(**CLUSTER),
+                      **TINY, **option)
+        serial = run_repeated("dynamast", spec, jobs=1, **kwargs)
+        parallel = run_repeated("dynamast", spec, jobs=2, **kwargs)
+        def folded(result):
+            return [(run.fingerprint, run.attribution_shares, run.mastery)
+                    for run in result.runs]
+
+        assert folded(serial) == folded(parallel)
+        for run in serial.runs:
+            if "fault_scenario" in option:
+                assert run.fault_events  # the crash happened
+            if "observed" in option:
+                assert run.attribution_shares
+            if "mastery" in option:
+                assert run.mastery["updates_routed"] > 0
 
 
 class TestPerfMatrixParity:
